@@ -4,15 +4,15 @@ Lyndon-word bases for free partially commutative Lie algebras."""
 from .graphs import (Graph, GraphError, IMAGINARY, REAL, WeightVector,
                      complement, enumerate_independent_sets, graph_from_json,
                      graph_to_json, is_connected_sub, is_independent,
-                     is_triangle_free, join_graph, new_graph)
-from .polynomials import QPolynomial, falling_binomial, interpolate
+                     is_triangle_free, join_graph, new_graph, weight_box)
+from .polynomials import QPolynomial, falling_binomial
 from .chromatic import (chromatic_complete, chromatic_poly, chromatic_tree,
                         coloring_count_oracle, ordered_partition_counts)
 from .multiplicity import (BondPartition, Orientation, bond_lattice,
                            chromatic_via_bond_lattice, count_unique_sink,
                            enumerate_acyclic_orientations, moebius,
-                           mult_via_orientations, root_multiplicity,
-                           tuple_divisors)
+                           moebius_invert, mult_via_orientations,
+                           root_multiplicity, tuple_divisors)
 from .trace import (b_set, b_tilde, canonicalize, cyclic_class_rep,
                     enumerate_weight_words, i_form, initial_alphabet,
                     initial_alphabet_set, is_aperiodic)

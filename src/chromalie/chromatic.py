@@ -11,7 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, GraphError, WeightVector, is_independent
+from .graphs import Graph, GraphError, WeightVector, \
+    enumerate_independent_sets
 from .polynomials import ONE, QPolynomial, falling_binomial
 
 
@@ -26,8 +27,7 @@ def ordered_partition_counts(g: Graph, k: WeightVector) -> dict[int, int]:
     if k.is_zero:
         return {0: 1}
     support = k.support
-    parts = [frozenset(c) for r in range(1, len(support) + 1)
-             for c in combinations(support, r) if is_independent(g, c)]
+    parts = [p for p in enumerate_independent_sets(g.induced(support)) if p]
     memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     def rec(residual: tuple[int, ...]) -> dict[int, int]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import chromatic, hilbert, lyndon, multiplicity, trace
 from .graphs import Graph, GraphError, WeightVector, complement, \
-    graph_from_json, is_connected_sub, is_triangle_free
+    graph_from_json, is_connected_sub, is_triangle_free, weight_box
 
 MAX_HEIGHT = 12
 MAX_VERTICES = 10
@@ -83,6 +83,9 @@ def cmd_chromatic(args) -> int:
     if form == "auto":
         form = "general"
     if form == "complete":
+        n = len(k.support)
+        if len(g.induced(k.support).edges) != n * (n - 1) // 2:
+            raise GraphError("support subgraph is not a clique")
         poly = chromatic.chromatic_complete([k.get(v) for v in k.support])
     elif form == "tree":
         poly = chromatic.chromatic_tree(g, k)
@@ -103,17 +106,15 @@ def cmd_mult(args) -> int:
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
+    if k.is_zero:
+        raise GraphError("zero weight vector")
     if args.method == "orientations":
         sink = args.sink if args.sink is not None else k.support[0]
         value = multiplicity.mult_via_orientations(g, k, sink)
     elif args.method == "bond":
-        total = Fraction(0)
-        for ell in multiplicity.tuple_divisors(k):
-            mu = multiplicity.moebius(ell)
-            if mu:
-                poly = multiplicity.chromatic_via_bond_lattice(g, k.divide(ell))
-                total += Fraction(mu, ell) * abs(poly.linear_coefficient)
-        value = int(total)
+        value = multiplicity.moebius_invert(k.gcd(), lambda ell: abs(
+            multiplicity.chromatic_via_bond_lattice(
+                g, k.divide(ell)).linear_coefficient))
     else:
         value = multiplicity.root_multiplicity(g, k)
     _emit(args, {"multiplicity": value}, [str(value)])
@@ -229,26 +230,8 @@ def cmd_reciprocity(args) -> int:
     return 0 if ok else 1
 
 
-def _verify_failure(name: str, detail: dict) -> str:
-    return json.dumps({"check": name, **detail}, sort_keys=True)
-
-
-def _all_weights(g: Graph, max_ht: int):
-    verts = g.vertices
-
-    def rec(idx: int, acc: dict[int, int], used: int):
-        if idx == len(verts):
-            if acc:
-                yield WeightVector.of(acc)
-            return
-        v = verts[idx]
-        for c in range(max_ht - used + 1):
-            if c:
-                acc[v] = c
-            yield from rec(idx + 1, acc, used + c)
-            acc.pop(v, None)
-
-    yield from rec(0, {}, 0)
+def _verify_failure(name: str, detail: dict) -> dict:
+    return {"check": name, **detail}
 
 
 def cmd_verify(args) -> int:
@@ -257,8 +240,9 @@ def cmd_verify(args) -> int:
     max_ht = args.max_ht
     if max_ht > MAX_HEIGHT:
         raise GraphError(f"height bound {max_ht} exceeds {MAX_HEIGHT}")
-    failures: list[str] = []
-    weights = list(_all_weights(g, max_ht))
+    failures: list[dict] = []
+    weights = [k for k in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
+               if not k.is_zero]
 
     if not args.skip_chromatic:
         for k in weights:
@@ -329,12 +313,11 @@ def cmd_verify(args) -> int:
                 hilbert.lcs_ranks_triangle_free(g, max_ht):
             failures.append(_verify_failure("lucas-ranks", {}))
 
-    for f in failures:
-        print(f)
-    if failures:
-        return 1
-    print(f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})")
-    return 0
+    lines = [json.dumps(f, sort_keys=True) for f in failures] or [
+        f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})"]
+    _emit(args, {"weight_vectors": len(weights), "max_ht": max_ht,
+                 "failures": failures, "ok": not failures}, lines)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 REAL = "re"
 IMAGINARY = "im"
@@ -36,6 +36,10 @@ class Graph:
     @property
     def all_imaginary(self) -> bool:
         return all(k == IMAGINARY for k in self.kinds)
+
+    def check_imaginary(self) -> None:
+        if not self.all_imaginary:
+            raise GraphError("this computation requires an all-imaginary graph")
 
     def has_vertex(self, v: int) -> bool:
         return v in self.vertices
@@ -203,6 +207,28 @@ class WeightVector:
                 raise GraphError(f"weight vector references unknown vertex {v}")
 
 
+def weight_box(bounds: Mapping[int, int],
+               max_height: int | None = None) -> Iterator[WeightVector]:
+    """Every w with 0 <= w_v <= bounds[v] and height at most max_height, the
+    zero vector included.  Vertices ascend, the last varying fastest."""
+    verts = sorted(bounds)
+    acc: list[tuple[int, int]] = []
+
+    def rec(idx: int, room: int) -> Iterator[WeightVector]:
+        if idx == len(verts):
+            yield WeightVector(tuple(acc))
+            return
+        v = verts[idx]
+        yield from rec(idx + 1, room)
+        for c in range(1, min(bounds[v], room) + 1):
+            acc.append((v, c))
+            yield from rec(idx + 1, room - c)
+            acc.pop()
+
+    cap = sum(bounds.values()) if max_height is None else max_height
+    return rec(0, cap) if cap >= 0 else iter(())
+
+
 def join_graph(g: Graph, k: WeightVector) -> tuple[Graph, dict[int, tuple[int, int]]]:
     """Replace vertex j by a clique of k_j clones; cliques of adjacent originals
     fully joined.  Vertices outside support(k) are dropped.
@@ -232,6 +258,10 @@ def join_graph(g: Graph, k: WeightVector) -> tuple[Graph, dict[int, tuple[int, i
     return new_graph(clone_map.keys(), kinds, edges), clone_map
 
 
+def _is_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> Graph:
     """Parse {"vertices":[{"id":int,"kind":"re"|"im"},...],"edges":[[u,v],...]}."""
     try:
@@ -248,14 +278,14 @@ def graph_from_json(text: str) -> Graph:
         raise GraphError('"edges" must be a list')
     ids, kinds = [], {}
     for entry in raw_vertices:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or not _is_id(entry.get("id")):
             raise GraphError('each vertex needs an integer "id"')
         ids.append(entry["id"])
         kinds[entry["id"]] = entry.get("kind", IMAGINARY)
     edges = []
     for e in raw_edges:
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+                or not all(_is_id(x) for x in e)):
             raise GraphError(f"edge {e!r} must be a pair of integer vertex ids")
         edges.append((e[0], e[1]))
     return new_graph(ids, kinds, edges)

@@ -10,34 +10,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, complement, \
-    enumerate_independent_sets, is_triangle_free
-from .multiplicity import enumerate_acyclic_orientations, moebius
+    enumerate_independent_sets, is_triangle_free, weight_box
+from .multiplicity import enumerate_acyclic_orientations, moebius_invert
 from .polynomials import QPolynomial
 from .trace import enumerate_weight_words
-
-
-def _check_imaginary(g: Graph) -> None:
-    if not g.all_imaginary:
-        raise GraphError("this computation requires an all-imaginary graph")
 
 
 def uq_dimension(g: Graph, k: WeightVector, q: int) -> int:
     """Dimension of the weight-k component of the q-fold tensor power of the
     enveloping algebra: (-1)^ht(k) * chromatic_poly(k) evaluated at -q."""
-    _check_imaginary(g)
+    g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
     value = (-1) ** k.height * chromatic_poly(g, k).eval(-q)
-    assert value.denominator == 1 and value >= 0
+    if value.denominator != 1 or value < 0:
+        raise GraphError(f"dimension {value} is not a non-negative integer")
     return int(value)
 
 
 def trace_dimension_oracle(g: Graph, k: WeightVector) -> int:
     """Independent count of weight-k trace words (the q=1 dimension)."""
-    _check_imaginary(g)
+    g.check_imaginary()
     return len(enumerate_weight_words(g, k))
 
 
@@ -66,7 +63,7 @@ def ordered_partition_identity_check(g: Graph, k: WeightVector, q: int) -> bool:
     """Brute-force check that chromatic_poly(k) at -q equals the sum over
     ordered q-part decompositions of products of values at -1 (empty parts
     contribute a factor 1)."""
-    _check_imaginary(g)
+    g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
     lhs = chromatic_poly(g, k).eval(-q)
@@ -132,21 +129,20 @@ def lcs_ranks(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     """Pairs (N_k, M_k) for k = 1..max_k from the alternating independent-set
     polynomial: N_k are the coefficients of its negated logarithm, and the
     integers M_k follow by Moebius inversion (graded ranks by bracket length)."""
-    _check_imaginary(g)
+    g.check_imaginary()
     if max_k < 1:
         raise GraphError("max_k must be positive")
     isp = independent_set_polynomial(g)
     alternating = [((-1) ** j) * isp.coefficient(j)
                    for j in range(isp.degree + 1)]
-    n_values = _log_series(alternating, max_k)
-    out = []
-    for k in range(1, max_k + 1):
-        m = sum(Fraction(moebius(d), d) * n_values[k // d - 1]
-                for d in range(1, k + 1) if k % d == 0)
-        if m.denominator != 1:
-            raise GraphError(f"non-integral rank M_{k} = {m}; implementation bug")
-        out.append((n_values[k - 1], int(m)))
-    return out
+    return _ranks(_log_series(alternating, max_k))
+
+
+def _ranks(n_values: list[Fraction]) -> list[tuple[Fraction, int]]:
+    """Pairs (N_k, M_k) with M_k = sum over d | k of mu(d)/d * N_{k/d}."""
+    return [(n_values[k - 1],
+             moebius_invert(k, lambda d: n_values[k // d - 1]))
+            for k in range(1, len(n_values) + 1)]
 
 
 def lucas_value(ell: int, s: int, t: int) -> int:
@@ -170,56 +166,33 @@ def lucas_value_closed(ell: int, s: int, t: int) -> int:
         return 2
     total = Fraction(0)
     for j in range(ell // 2 + 1):
-        total += (Fraction(ell, ell - j) * _binom(ell - j, j)
+        total += (Fraction(ell, ell - j) * comb(ell - j, j)
                   * Fraction(t) ** j * Fraction(s) ** (ell - 2 * j))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise GraphError(f"non-integral Lucas value {total}")
     return int(total)
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
 
 
 def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     """Lucas-polynomial closed form for the ranks, valid when the complement
     graph is triangle free: N_k = <k>_{v,-e}/k with v, e the complement's
     vertex and edge counts."""
-    _check_imaginary(g)
+    g.check_imaginary()
     comp = complement(g)
     if not is_triangle_free(comp):
         raise GraphError("complement graph has a triangle")
     v, e = len(comp.vertices), len(comp.edges)
-    out = []
-    for k in range(1, max_k + 1):
-        n_k = Fraction(lucas_value(k, v, -e), k)
-        m = Fraction(sum(moebius(k // d) * lucas_value(d, v, -e)
-                         for d in range(1, k + 1) if k % d == 0), k)
-        if m.denominator != 1:
-            raise GraphError(f"non-integral rank M_{k} = {m}; implementation bug")
-        out.append((n_k, int(m)))
-    return out
+    return _ranks([Fraction(lucas_value(k, v, -e), k)
+                   for k in range(1, max_k + 1)])
 
 
 def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:
     """Graded dimensions of the q-fold tensor power for every weight vector of
     height at most the bound (the zero weight included, with dimension 1)."""
-    _check_imaginary(g)
+    g.check_imaginary()
+    if q < 1:
+        raise GraphError("q must be a positive integer")
     if max_height < 0:
         raise GraphError("height bound must be non-negative")
-    table: dict[WeightVector, int] = {}
-
-    def rec(idx: int, acc: dict[int, int], used: int):
-        if idx == len(g.vertices):
-            k = WeightVector.of(acc)
-            table[k] = 1 if k.is_zero else uq_dimension(g, k, q)
-            return
-        v = g.vertices[idx]
-        for c in range(max_height - used + 1):
-            if c:
-                acc[v] = c
-            rec(idx + 1, acc, used + c)
-            acc.pop(v, None)
-
-    rec(0, {}, 0)
-    return table
+    box = weight_box(dict.fromkeys(g.vertices, max_height), max_height)
+    return {k: 1 if k.is_zero else uq_dimension(g, k, q) for k in box}

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, WeightVector
+from .graphs import Graph, GraphError, WeightVector, weight_box
 from .multiplicity import root_multiplicity
-from .trace import (TraceWord, canonicalize, enumerate_weight_words,
+from .trace import (TraceWord, b_tilde, canonicalize, enumerate_weight_words,
                     initial_alphabet)
 
 LyndonSeq = tuple[TraceWord, ...]
@@ -35,25 +35,10 @@ def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
     have initial alphabet multiset {i}; sorted by canonical form."""
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
-    out = []
-    others = [v for v in k.support if v != i]
-
-    def rec(idx: int, acc: dict[int, int]):
-        if idx == len(others):
-            w = WeightVector.of({**acc, i: 1})
-            for word in enumerate_weight_words(g, w):
-                if initial_alphabet(word, g) == {i: 1}:
-                    out.append(word)
-            return
-        v = others[idx]
-        for c in range(k.get(v) + 1):
-            if c:
-                acc[v] = c
-            rec(idx + 1, acc)
-            acc.pop(v, None)
-
-    rec(0, {})
-    return sorted(out)
+    return sorted(word for w in weight_box({**k.as_dict(), i: 1})
+                  if w.get(i) == 1
+                  for word in enumerate_weight_words(g, w)
+                  if initial_alphabet(word, g) == {i: 1})
 
 
 def is_lyndon(seq: LyndonSeq) -> bool:
@@ -67,12 +52,12 @@ def standard_factorization(seq: LyndonSeq) -> tuple[LyndonSeq, LyndonSeq]:
     """Split a Lyndon sequence as u*v with v the longest proper Lyndon suffix."""
     if len(seq) < 2 or not is_lyndon(seq):
         raise GraphError("standard factorization needs a Lyndon word of length >= 2")
-    for j in range(1, len(seq)):
-        u, v = seq[:j], seq[j:]
-        if is_lyndon(v):
-            assert is_lyndon(u) and u < v
-            return u, v
-    raise AssertionError("unreachable: a Lyndon word always splits")
+    # The last letter alone is a Lyndon suffix, so a split always exists.
+    j = next(j for j in range(1, len(seq)) if is_lyndon(seq[j:]))
+    u, v = seq[:j], seq[j:]
+    if not (is_lyndon(u) and u < v):
+        raise GraphError(f"standard factorization broke at position {j}")
+    return u, v
 
 
 def bracket_tree(seq: LyndonSeq):
@@ -115,11 +100,6 @@ def right_normed_nonzero(letters, g: Graph) -> bool:
     return sum(ia.values()) == 1
 
 
-def _check_imaginary(g: Graph) -> None:
-    if not g.all_imaginary:
-        raise GraphError("expansion requires an all-imaginary graph")
-
-
 def _mul(a: LieExpr, b: LieExpr, g: Graph) -> LieExpr:
     out: LieExpr = {}
     for wa, ca in a.items():
@@ -142,7 +122,7 @@ def expand_right_normed(word, g: Graph) -> LieExpr:
     """Expansion of [e_{i1},[e_{i2},...[e_{i_{r-1}},e_{ir}]..]] in the trace
     algebra (valid model of the enveloping algebra when all vertices are
     imaginary)."""
-    _check_imaginary(g)
+    g.check_imaginary()
     expr: LieExpr = {canonicalize((word[-1],), g): 1}
     for letter in reversed(word[:-1]):
         expr = _commutator({(letter,): 1}, expr, g)
@@ -151,7 +131,7 @@ def expand_right_normed(word, g: Graph) -> LieExpr:
 
 def expand_bracket(tree, g: Graph) -> LieExpr:
     """Expand a bracket tree (leaves expand as right-normed Lie words)."""
-    _check_imaginary(g)
+    g.check_imaginary()
     if isinstance(tree[0], int):  # leaf: a trace word
         return expand_right_normed(tree, g)
     left, right = tree
@@ -200,7 +180,7 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     """Check that the expanded Lyndon bracketings form a basis of the graded
     component: cardinality equals the root multiplicity and the expansions
     have full rank over the rationals."""
-    _check_imaginary(g)
+    g.check_imaginary()
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
     mult = root_multiplicity(g, k)
@@ -216,7 +196,7 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     rn_consistent = True
     if rn_checked:
         nonzero_words = []
-        for w in b_words_of_weight(g, k, i):
+        for w in b_tilde(g, k, i):
             expr = expand_right_normed(w, g)
             if bool(expr) != right_normed_nonzero(w, g):
                 rn_consistent = False
@@ -235,12 +215,6 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
         right_normed_checked=rn_checked,
         right_normed_consistent=rn_consistent,
     )
-
-
-def b_words_of_weight(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
-    """Weight-k alphabet members (one i, initial alphabet {i})."""
-    return [w for w in x_i_alphabet(g, k, i)
-            if _word_weight(w) == k]
 
 
 def render_bracket(tree) -> str:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Callable
 
 from .chromatic import chromatic_poly
 from .graphs import (Graph, GraphError, REAL, WeightVector, is_connected_sub,
-                     join_graph)
+                     join_graph, weight_box)
 from .polynomials import QPolynomial, scaled_binomial
 
 
@@ -36,6 +37,20 @@ def moebius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def moebius_invert(n: int, f: Callable[[int], Fraction | int]) -> int:
+    """Sum of mu(d)/d * f(d) over the divisors d of n, which must come out a
+    non-negative integer; f is only called where mu(d) != 0."""
+    total = Fraction(0)
+    for d in range(1, n + 1):
+        mu = moebius(d) if n % d == 0 else 0
+        if mu:
+            total += Fraction(mu, d) * f(d)
+    if total.denominator != 1 or total < 0:
+        raise GraphError(f"Moebius inversion over the divisors of {n} gave "
+                         f"{total}, not a non-negative integer")
+    return int(total)
 
 
 def tuple_divisors(k: WeightVector) -> list[int]:
@@ -65,15 +80,8 @@ def root_multiplicity(g: Graph, k: WeightVector) -> int:
     _check_real_constraint(g, k)
     if not is_connected_sub(g, k.support):
         return 0
-    total = Fraction(0)
-    for ell in tuple_divisors(k):
-        mu = moebius(ell)
-        if mu == 0:
-            continue
-        coeff = chromatic_poly(g, k.divide(ell)).linear_coefficient
-        total += Fraction(mu, ell) * abs(coeff)
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+    return moebius_invert(k.gcd(), lambda ell: abs(
+        chromatic_poly(g, k.divide(ell)).linear_coefficient))
 
 
 @dataclass(frozen=True)
@@ -89,34 +97,13 @@ class BondPartition:
         return len(self.parts)
 
 
-def _connected_subweights(g: Graph, k: WeightVector) -> list[WeightVector]:
-    support = k.support
-    out = []
-
-    def rec(idx: int, acc: dict[int, int]):
-        if idx == len(support):
-            if acc:
-                w = WeightVector.of(acc)
-                if is_connected_sub(g, w.support):
-                    out.append(w)
-            return
-        v = support[idx]
-        for c in range(k.get(v) + 1):
-            if c:
-                acc[v] = c
-            rec(idx + 1, acc)
-            acc.pop(v, None)
-
-    rec(0, {})
-    return sorted(out, reverse=True)
-
-
 def bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
     """All multisets of connected-support weight vectors that sum to k."""
     k.check_support(g)
     if k.is_zero:
         return [BondPartition(())]
-    candidates = _connected_subweights(g, k)
+    candidates = sorted((w for w in weight_box(k.as_dict())
+                         if is_connected_sub(g, w.support)), reverse=True)
     results: list[BondPartition] = []
 
     def rec(residual: WeightVector, start: int, acc: list[WeightVector]):
@@ -228,11 +215,8 @@ def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     _check_real_constraint(g, k)
     if not is_connected_sub(g, k.support):
         return 0
-    total = Fraction(0)
-    for ell in tuple_divisors(k):
-        mu = moebius(ell)
-        if mu == 0:
-            continue
+
+    def term(ell: int) -> Fraction:
         sub = k.divide(ell)
         jg, clone_map = join_graph(g, sub)
         clones = [c for c, (orig, _) in clone_map.items() if orig == i]
@@ -240,7 +224,6 @@ def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
         weight_factorial = 1
         for _, c in sub.counts:
             weight_factorial *= factorial(c)
-        total += (Fraction(mu, ell) * Fraction(sink_sum, len(clones))
-                  / weight_factorial)
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+        return Fraction(sink_sum, len(clones)) / weight_factorial
+
+    return moebius_invert(k.gcd(), term)

@@ -118,19 +118,3 @@ def scaled_binomial(m: int, k: int) -> QPolynomial:
         p = p * QPolynomial.of([-j, m])
     return p.scale(Fraction(1, factorial(k)))
 
-
-def interpolate(points: list[tuple]) -> QPolynomial:
-    """Lagrange interpolation through points with distinct abscissae."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated abscissa")
-    total = ZERO
-    for i, (xi, yi) in enumerate(points):
-        xi, yi = Fraction(xi), Fraction(yi)
-        basis = ONE
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * QPolynomial.of([-xj, 1]).scale(Fraction(1, xi - xj))
-        total = total + basis.scale(yi)
-    return total

@@ -140,3 +140,47 @@ def test_missing_graph_file(capsys):
     code, _, err = run(capsys, ["chromatic", "--graph", "/nonexistent.json",
                                 "--k", "1:1"])
     assert code == 2
+
+
+def test_boolean_vertex_ids_rejected(capsys, tmp_path):
+    for doc in ({"vertices": [{"id": True}]},
+                {"vertices": [{"id": 1}, {"id": 2}], "edges": [[True, 2]]}):
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["chromatic", "--graph", str(p),
+                                    "--k", "1:1"])
+        assert code == 3 and "integer" in err
+
+
+def test_mult_zero_weight(capsys, showcase_file):
+    for method in ("moebius", "bond", "orientations"):
+        code, _, err = run(capsys, ["mult", "--graph", showcase_file,
+                                    "--k", "1:0", "--method", method])
+        assert code == 3 and "zero weight" in err
+
+
+def test_closed_form_and_q_preconditions(capsys, tmp_path, showcase_file):
+    p = tmp_path / "p3.json"
+    p.write_text(graph_to_json(new_graph([1, 2, 3],
+                                         edges=[(1, 2), (2, 3)])))
+    code, _, err = run(capsys, ["chromatic", "--graph", str(p),
+                                "--k", "1:1,2:1,3:1",
+                                "--closed-form", "complete"])
+    assert code == 3 and "not a clique" in err
+    code, out, _ = run(capsys, ["chromatic", "--graph", str(p),
+                                "--k", "1:1,2:1", "--closed-form", "complete"])
+    assert code == 0 and out == "coefficients (constant first): 0 -1 1\n"
+    code, _, err = run(capsys, ["hilbert", "--graph", showcase_file,
+                                "--q", "-2", "--max-ht", "0"])
+    assert code == 3 and "q must be" in err
+
+
+def test_verify_json(capsys, showcase_file):
+    code, out, _ = run(capsys, ["verify", "--graph", showcase_file,
+                                "--max-ht", "2", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"schema": "1", "weight_vectors": 14,
+                               "max_ht": 2, "failures": [], "ok": True}
+    code, out, _ = run(capsys, ["verify", "--graph", showcase_file,
+                                "--max-ht", "2"])
+    assert out == "all checks passed (14 weight vectors, height <= 2)\n"

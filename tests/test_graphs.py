@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +7,10 @@ from hypothesis import given, strategies as st
 from chromalie import (GraphError, WeightVector, complement,
                        enumerate_independent_sets, graph_from_json,
                        graph_to_json, is_connected_sub, is_independent,
-                       is_triangle_free, join_graph, new_graph)
+                       is_triangle_free, join_graph, new_graph, weight_box)
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, full_support_weights, \
+    path_graph
 
 
 def small_graphs(draw):
@@ -148,3 +150,28 @@ def test_json_errors():
         graph_from_json(json.dumps({"vertices": [{"id": "a"}]}))
     with pytest.raises(GraphError):
         graph_from_json(json.dumps({"vertices": [{"id": 1}], "edges": [[1]]}))
+    with pytest.raises(GraphError):
+        graph_from_json(json.dumps({"vertices": [{"id": True}]}))
+    with pytest.raises(GraphError):
+        graph_from_json(json.dumps({"vertices": [{"id": 1}, {"id": 2}],
+                                    "edges": [[True, 2]]}))
+
+
+@pytest.mark.parametrize("bounds, max_height", [
+    ({}, None), ({3: 2}, None), ({1: 2, 2: 0, 5: 3}, None),
+    ({1: 2, 2: 1, 3: 2}, 3), ({0: 4, 1: 4, 2: 4}, 4), ({1: 1, 2: 1}, 0),
+    ({1: 1, 2: 1}, -1)])
+def test_weight_box_matches_product_filter(bounds, max_height):
+    verts = sorted(bounds)
+    cap = sum(bounds.values()) if max_height is None else max_height
+    expected = [WeightVector.of(zip(verts, counts))
+                for counts in product(*(range(bounds[v] + 1) for v in verts))
+                if sum(counts) <= cap]
+    assert list(weight_box(bounds, max_height)) == expected
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(3), cycle_graph(4)])
+def test_weight_box_full_support_slice(g):
+    box = weight_box(dict.fromkeys(g.vertices, 6), 6)
+    assert [w for w in box if len(w.support) == len(g.vertices)] == \
+        list(full_support_weights(g, 6))

@@ -3,7 +3,8 @@ import pytest
 from chromalie import (GraphError, WeightVector, bond_lattice,
                        chromatic_poly, chromatic_via_bond_lattice,
                        count_unique_sink, enumerate_acyclic_orientations,
-                       moebius, mult_via_orientations, new_graph,
+                       moebius, moebius_invert, mult_via_orientations,
+                       new_graph,
                        root_multiplicity, tuple_divisors)
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
@@ -15,6 +16,16 @@ def test_moebius_values():
     assert [moebius(n) for n in range(1, 13)] == expected
     with pytest.raises(ValueError):
         moebius(0)
+
+
+def test_moebius_invert():
+    # sum over d | 12 of mu(d)/d * 12 = 12 * (1 - 1/2) * (1 - 1/3) = 4
+    assert moebius_invert(12, lambda d: 12) == 4
+    assert moebius_invert(1, lambda d: 7) == 7
+    with pytest.raises(GraphError):
+        moebius_invert(2, lambda d: 1)  # 1 - 1/2
+    with pytest.raises(GraphError):
+        moebius_invert(2, lambda d: 2 * d * d)  # 2 - 4
 
 
 def test_tuple_divisors():

@@ -1,10 +1,9 @@
 from fractions import Fraction
 from math import comb
 
-import pytest
 from hypothesis import given, strategies as st
 
-from chromalie import QPolynomial, falling_binomial, interpolate
+from chromalie import QPolynomial, falling_binomial
 from chromalie.polynomials import ONE, ZERO, scaled_binomial
 
 
@@ -65,21 +64,6 @@ def test_integer_coefficient_flag():
 def test_json_round_trip():
     p = QPolynomial.of([Fraction(1, 2), -3, 0, 5])
     assert QPolynomial.from_json_list(p.to_json_list()) == p
-
-
-coeff_lists = st.lists(st.fractions(max_denominator=6), max_size=5)
-
-
-@given(coeff_lists)
-def test_interpolation_round_trip(coeffs):
-    p = QPolynomial.of(coeffs)
-    pts = [(x, p.eval(x)) for x in range(max(len(coeffs), 1))]
-    assert interpolate(pts) == p
-
-
-def test_interpolation_repeated_abscissa():
-    with pytest.raises(ValueError):
-        interpolate([(1, 1), (1, 2)])
 
 
 def test_one_is_multiplicative_identity():
