@@ -8,10 +8,10 @@ from .graphs import (Graph, GraphError, IMAGINARY, REAL, WeightVector,
 from .polynomials import QPolynomial, falling_binomial
 from .chromatic import (chromatic_complete, chromatic_poly, chromatic_tree,
                         coloring_count_oracle, ordered_partition_counts)
-from .multiplicity import (BondPartition, Orientation, bond_lattice,
-                           chromatic_via_bond_lattice, count_unique_sink,
-                           enumerate_acyclic_orientations, moebius,
-                           moebius_invert, mult_via_orientations,
+from .multiplicity import (BondPartition, Orientation, acyclic_counts,
+                           bond_lattice, chromatic_via_bond_lattice,
+                           count_unique_sink, enumerate_acyclic_orientations,
+                           moebius, moebius_invert, mult_via_orientations,
                            root_multiplicity, tuple_divisors)
 from .trace import (b_set, b_tilde, canonicalize, cyclic_class_rep,
                     enumerate_weight_words, i_form, initial_alphabet,

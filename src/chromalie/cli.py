@@ -170,16 +170,16 @@ def cmd_words(args) -> int:
 def cmd_orientations(args) -> int:
     g = load_graph(args.graph)
     check_limits(g, None)
-    orientations = multiplicity.enumerate_acyclic_orientations(g)
-    payload: dict = {"count": len(orientations)}
-    lines = [f"acyclic orientations: {len(orientations)}"]
+    count = multiplicity.acyclic_counts(g)[-1]
+    payload: dict = {"count": count}
+    lines = [f"acyclic orientations: {count}"]
     if args.sink is not None:
         n = multiplicity.count_unique_sink(g, args.sink)
         payload["unique_sink"] = {"sink": args.sink, "count": n}
         lines.append(f"unique sink {args.sink}: {n}")
     if args.list:
         listing = [" ".join(f"{t}>{h}" for t, h in o.directions)
-                   for o in orientations]
+                   for o in multiplicity.enumerate_acyclic_orientations(g)]
         payload["orientations"] = listing
         lines.extend(listing)
     _emit(args, payload, lines)
@@ -238,6 +238,8 @@ def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     check_limits(g, None)
     max_ht = args.max_ht
+    if max_ht < 0:
+        raise GraphError(f"height bound {max_ht} is negative")
     if max_ht > MAX_HEIGHT:
         raise GraphError(f"height bound {max_ht} exceeds {MAX_HEIGHT}")
     failures: list[dict] = []

@@ -15,7 +15,7 @@ from math import comb
 from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, complement, \
     enumerate_independent_sets, is_triangle_free, weight_box
-from .multiplicity import enumerate_acyclic_orientations, moebius_invert
+from .multiplicity import acyclic_counts, moebius_invert
 from .polynomials import QPolynomial
 from .trace import enumerate_weight_words
 
@@ -79,16 +79,25 @@ def ordered_partition_identity_check(g: Graph, k: WeightVector, q: int) -> bool:
 
 def count_compatible_pairs(g: Graph, q: int) -> int:
     """Number of pairs (vertex labeling into {1..q}, acyclic orientation) with
-    labels non-increasing along every directed edge; brute force."""
+    labels non-increasing along every directed edge.  Edges between label
+    classes are forced downward, so the count is the q-fold subset
+    convolution f_1 = a, f_{j+1}[S] = sum over T within S of f_j[T] * a[S - T]
+    of the acyclic-orientation counts a, read at the full vertex set."""
     if q < 1:
         raise GraphError("q must be a positive integer")
-    orientations = enumerate_acyclic_orientations(g)
-    total = 0
-    for labels in product(range(1, q + 1), repeat=len(g.vertices)):
-        sigma = dict(zip(g.vertices, labels))
-        for o in orientations:
-            if all(sigma[t] >= sigma[h] for t, h in o.directions):
-                total += 1
+    a = acyclic_counts(g)
+    f = a
+    for _ in range(q - 2):
+        f = [_convolve_at(f, a, s) for s in range(len(a))]
+    return a[-1] if q == 1 else _convolve_at(f, a, len(a) - 1)
+
+
+def _convolve_at(f: list[int], a: list[int], s: int) -> int:
+    total = f[0] * a[s]
+    t = s
+    while t:
+        total += f[t] * a[s ^ t]
+        t = (t - 1) & s
     return total
 
 
@@ -178,6 +187,8 @@ def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     graph is triangle free: N_k = <k>_{v,-e}/k with v, e the complement's
     vertex and edge counts."""
     g.check_imaginary()
+    if max_k < 1:
+        raise GraphError("max_k must be positive")
     comp = complement(g)
     if not is_triangle_free(comp):
         raise GraphError("complement graph has a triangle")

@@ -186,13 +186,60 @@ def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:
     return out
 
 
-@lru_cache(maxsize=None)
+def _independent_signs(g: Graph) -> list[int]:
+    """sign[S] for every bitmask S over g.vertices (bit j is the j-th vertex):
+    (-1)^(|S|+1) if S is an independent set, else 0."""
+    n = len(g.vertices)
+    index = {v: j for j, v in enumerate(g.vertices)}
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    sign = [-1] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        sign[s] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
+    return sign
+
+
+def _acyclic_counts(sign: list[int]) -> list[int]:
+    a = [1] * len(sign)
+    for s in range(1, len(sign)):
+        total = 0
+        t = s
+        while t:
+            if sign[t]:
+                total += sign[t] * a[s ^ t]
+            t = (t - 1) & s
+        a[s] = total
+    return a
+
+
+def acyclic_counts(g: Graph) -> list[int]:
+    """a[S], the number of acyclic orientations of the subgraph induced by
+    the bitmask S over g.vertices, for every S (Stanley 1973): a[0] = 1 and
+    a[S] = sum over nonempty independent T within S of
+    (-1)^(|T|+1) * a[S - T], inclusion-exclusion over a set T of sinks."""
+    return _acyclic_counts(_independent_signs(g))
+
+
+@lru_cache(maxsize=32)
 def _unique_sink_counts(g: Graph) -> dict[int, int]:
-    counts = {v: 0 for v in g.vertices}
-    for o in enumerate_acyclic_orientations(g):
-        sinks = o.sinks(g)
-        if len(sinks) == 1:
-            counts[sinks[0]] += 1
+    """Acyclic orientations whose only sink is v, for each vertex v:
+    u_v = sum over independent T containing v of (-1)^(|T|-1) * a[V - T],
+    because making every vertex of T a sink leaves any acyclic orientation
+    on V - T.  The cache serves the sinks and divisors of one weight, which
+    share join graphs."""
+    sign = _independent_signs(g)
+    a = _acyclic_counts(sign)
+    full = len(a) - 1
+    counts = dict.fromkeys(g.vertices, 0)
+    for t in range(1, len(a)):
+        if sign[t]:
+            for j, v in enumerate(g.vertices):
+                if t >> j & 1:
+                    counts[v] += sign[t] * a[full ^ t]
     return counts
 
 

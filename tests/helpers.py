@@ -1,5 +1,6 @@
 """Shared graph families and independent oracles for the test suite."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -31,6 +32,19 @@ def _canonical_edges(n: int, edges: frozenset) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def random_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
+    """Seeded random graphs on 1..max_n vertices with scattered ids and edge
+    densities from edgeless to complete, so disconnected graphs occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ids = rng.sample(range(30), rng.randint(1, max_n))
+        density = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+        out.append(new_graph(ids, edges=[
+            (u, v) for u, v in combinations(ids, 2) if rng.random() < density]))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -88,6 +90,22 @@ def test_orientations_command(capsys, showcase_file):
     assert payload["unique_sink"] == {"sink": 2, "count": 2}
 
 
+def test_complete_graph_k10_counts(capsys, tmp_path):
+    # beyond the reach of enumerating 10! orientations (times 3^10 labelings)
+    p = tmp_path / "k10.json"
+    p.write_text(graph_to_json(new_graph(
+        range(1, 11), edges=combinations(range(1, 11), 2))))
+    code, out, _ = run(capsys, ["orientations", "--graph", str(p),
+                                "--sink", "4", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == factorial(10)
+    assert payload["unique_sink"] == {"sink": 4, "count": factorial(9)}
+    code, out, _ = run(capsys, ["reciprocity", "--graph", str(p),
+                                "--q", "3", "--json"])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_hilbert_command(capsys, showcase_file):
     code, out, _ = run(capsys, ["hilbert", "--graph", showcase_file,
                                 "--q", "1", "--max-ht", "2", "--json"])
@@ -104,6 +122,10 @@ def test_lcs_ranks_command(capsys, tmp_path):
                                 "--max-k", "2"])
     assert code == 0
     assert out.splitlines() == ["k=1 N=3 M=3", "k=2 N=7/2 M=2"]
+    for extra in ([], ["--triangle-free"]):
+        code, out, err = run(capsys, ["lcs-ranks", "--graph", str(p),
+                                      "--max-k", "0"] + extra)
+        assert code == 3 and out == "" and "max_k must be positive" in err
 
 
 def test_reciprocity_command(capsys, showcase_file):
@@ -173,6 +195,17 @@ def test_closed_form_and_q_preconditions(capsys, tmp_path, showcase_file):
     code, _, err = run(capsys, ["hilbert", "--graph", showcase_file,
                                 "--q", "-2", "--max-ht", "0"])
     assert code == 3 and "q must be" in err
+
+
+def test_verify_negative_height(capsys, tmp_path, showcase_file):
+    p = tmp_path / "c4.json"
+    p.write_text(graph_to_json(new_graph(
+        [1, 2, 3, 4], kinds={1: "re"},
+        edges=[(1, 2), (2, 3), (3, 4), (1, 4)])))
+    for graph in (str(p), showcase_file):
+        code, out, err = run(capsys, ["verify", "--graph", graph,
+                                      "--max-ht", "-1"])
+        assert code == 3 and out == "" and "height bound -1" in err
 
 
 def test_verify_json(capsys, showcase_file):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,7 @@ from chromalie import (GraphError, WeightVector, count_compatible_pairs,
                        ordered_partition_identity_check, series_table,
                        trace_dimension_oracle, uq_dimension)
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, path_graph, random_graphs
 
 
 def test_uq_dimension_q1_is_trace_count():
@@ -40,6 +41,23 @@ def test_compatible_pairs_q1_counts_orientations():
     for g in (path_graph(3), cycle_graph(4)):
         assert count_compatible_pairs(g, 1) == \
             len(enumerate_acyclic_orientations(g))
+
+
+def _compatible_pairs_brute_force(g, q):
+    orientations = enumerate_acyclic_orientations(g)
+    total = 0
+    for labels in product(range(1, q + 1), repeat=len(g.vertices)):
+        sigma = dict(zip(g.vertices, labels))
+        total += sum(all(sigma[t] >= sigma[h] for t, h in o.directions)
+                     for o in orientations)
+    return total
+
+
+def test_compatible_pairs_match_brute_force():
+    for g in random_graphs(seed=4, count=60, max_n=5):
+        for q in (1, 2, 3):
+            assert count_compatible_pairs(g, q) == \
+                _compatible_pairs_brute_force(g, q), (g, q)
 
 
 def test_reciprocity_small():

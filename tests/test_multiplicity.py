@@ -1,14 +1,16 @@
 import pytest
 
-from chromalie import (GraphError, WeightVector, bond_lattice,
+from chromalie import (GraphError, WeightVector, acyclic_counts, bond_lattice,
                        chromatic_poly, chromatic_via_bond_lattice,
                        count_unique_sink, enumerate_acyclic_orientations,
                        moebius, moebius_invert, mult_via_orientations,
                        new_graph,
                        root_multiplicity, tuple_divisors)
 
+from chromalie.multiplicity import _unique_sink_counts
+
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph, witt_mult
+    path_graph, random_graphs, witt_mult
 
 
 def test_moebius_values():
@@ -86,6 +88,20 @@ def test_unique_sink_counts():
     assert [count_unique_sink(c4, v) for v in c4.vertices] == [3, 3, 3, 3]
     with pytest.raises(GraphError):
         count_unique_sink(new_graph([1, 2]), 1)
+
+
+def test_subset_dp_matches_enumeration():
+    # edgeless and disconnected graphs included; the sink of a unique-sink
+    # orientation is read off the enumerated orientation itself
+    for g in random_graphs(seed=3, count=150, max_n=7):
+        orientations = enumerate_acyclic_orientations(g)
+        assert acyclic_counts(g)[-1] == len(orientations)
+        expected = dict.fromkeys(g.vertices, 0)
+        for o in orientations:
+            sinks = o.sinks(g)
+            if len(sinks) == 1:
+                expected[sinks[0]] += 1
+        assert _unique_sink_counts(g) == expected, g
 
 
 def test_orientation_sinks():
