@@ -13,9 +13,8 @@ from .multiplicity import (BondPartition, Orientation, acyclic_counts,
                            count_unique_sink, enumerate_acyclic_orientations,
                            moebius, moebius_invert, mult_via_orientations,
                            root_multiplicity, tuple_divisors)
-from .trace import (b_set, b_tilde, canonicalize, cyclic_class_rep,
-                    enumerate_weight_words, i_form, initial_alphabet,
-                    initial_alphabet_set, is_aperiodic)
+from .trace import (b_set, b_tilde, canonicalize, enumerate_weight_words,
+                    i_form, initial_alphabet, initial_alphabet_set)
 from .lyndon import (bracket_tree, c_i_set, expand_bracket,
                      expand_right_normed, is_lyndon, render_bracket,
                      right_normed_nonzero, standard_factorization,

@@ -125,13 +125,13 @@ def cmd_basis(args) -> int:
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
-    words = lyndon.c_i_set(g, k, args.sink)
+    report = lyndon.verify_basis(g, k, args.sink) if args.verify else None
+    words = report.lyndon if report else lyndon.c_i_set(g, k, args.sink)
     rendered = [lyndon.render_bracket(lyndon.bracket_tree(w)) for w in words]
     payload: dict = {"basis": rendered}
     lines = list(rendered)
     status = 0
-    if args.verify:
-        report = lyndon.verify_basis(g, k, args.sink)
+    if report:
         ok = report.counts_match and report.rank_matches and \
             report.right_normed_consistent
         payload["verify"] = {

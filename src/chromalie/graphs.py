@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -46,6 +47,14 @@ class Graph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
+
+    @cached_property
+    def dependence(self) -> dict[int, frozenset[int]]:
+        """Each vertex mapped to itself plus its neighbours: the letters it
+        does not commute with in the trace monoid."""
+        return {v: frozenset(u for u in self.vertices
+                             if u == v or self.adjacent(u, v))
+                for v in self.vertices}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.vertices:

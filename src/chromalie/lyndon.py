@@ -9,8 +9,9 @@ the bracketings inside the trace algebra lets us verify independence exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .graphs import Graph, GraphError, WeightVector, weight_box
 from .multiplicity import root_multiplicity
@@ -21,13 +22,6 @@ LyndonSeq = tuple[TraceWord, ...]
 # A bracket tree is either a leaf (a trace word, i.e. tuple of ints) or a
 # pair (left, right) of bracket trees.
 LieExpr = dict[TraceWord, int]
-
-
-def _word_weight(w: TraceWord) -> WeightVector:
-    d: dict[int, int] = {}
-    for c in w:
-        d[c] = d.get(c, 0) + 1
-    return WeightVector.of(d)
 
 
 def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
@@ -72,7 +66,7 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
     """All Lyndon sequences over the i-marked alphabet with total weight k."""
     if k.get(i) < 1:
         raise GraphError(f"vertex {i} needs positive weight")
-    letters = x_i_alphabet(g, k, i)
+    letters = [(w, WeightVector.of(Counter(w))) for w in x_i_alphabet(g, k, i)]
     results = []
 
     def rec(residual: WeightVector, acc: list[TraceWord]):
@@ -82,8 +76,7 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
             return
         if residual.get(i) < 1:
             return
-        for w in letters:
-            wt = _word_weight(w)
+        for w, wt in letters:
             if wt.leq(residual):
                 acc.append(w)
                 rec(residual.minus(wt), acc)
@@ -138,31 +131,28 @@ def expand_bracket(tree, g: Graph) -> LieExpr:
     return _commutator(expand_bracket(left, g), expand_bracket(right, g), g)
 
 
-def exact_rank(rows: list[list]) -> int:
-    """Rank over the rationals by plain fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    col = 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    elimination: each row is reduced against the pivot rows kept so far by
+    cross-multiplication and then divided by the gcd of its entries."""
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for row in rows:
+        r = {j: x for j, x in enumerate(row) if x}
+        for col, p in pivots:
+            a, b = r.get(col), p[col]
+            if a:
+                r = {j: b * r.get(j, 0) - a * p.get(j, 0)
+                     for j in r.keys() | p.keys()}
+                d = gcd(*r.values())
+                r = {j: x // d for j, x in r.items() if x}
+        if r:
+            pivots.append((min(r), r))
+    return len(pivots)
 
 
 @dataclass(frozen=True)
 class BasisReport:
+    lyndon: list[LyndonSeq]          # c_i_set(g, k, i)
     multiplicity: int
     lyndon_count: int
     counts_match: bool
@@ -180,16 +170,12 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     """Check that the expanded Lyndon bracketings form a basis of the graded
     component: cardinality equals the root multiplicity and the expansions
     have full rank over the rationals."""
-    g.check_imaginary()
-    if i not in k.support:
-        raise GraphError(f"vertex {i} not in the support of k")
-    mult = root_multiplicity(g, k)
     lyndon = c_i_set(g, k, i)
+    g.check_imaginary()
+    mult = root_multiplicity(g, k)
     basis_words = list(enumerate_weight_words(g, k))
-    rows = []
-    for seq in lyndon:
-        expr = expand_bracket(bracket_tree(seq), g)
-        rows.append(_expr_vector(expr, basis_words))
+    rows = [_expr_vector(expand_bracket(bracket_tree(seq), g), basis_words)
+            for seq in lyndon]
     rank = exact_rank(rows) if rows else 0
 
     rn_checked = k.get(i) == 1
@@ -207,6 +193,7 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
             rn_consistent = False
 
     return BasisReport(
+        lyndon=lyndon,
         multiplicity=mult,
         lyndon_count=len(lyndon),
         counts_match=len(lyndon) == mult,

@@ -18,51 +18,58 @@ TraceWord = tuple[int, ...]
 IForm = tuple[TraceWord, ...]
 
 
-def _dependent(g: Graph, a: int, b: int) -> bool:
-    return a == b or g.adjacent(a, b)
-
-
 def canonicalize(letters: Sequence[int], g: Graph) -> TraceWord:
     """Lexicographically maximal representative of the commutation class.
 
-    Greedy: repeatedly emit the largest letter among the positions that are
-    minimal in the dependence order of the remaining positions.  Among equal
-    letters only the earliest is minimal, so the choice is unique.
+    Builds the word's heap of pieces (Cartier & Foata 1969; Viennot 1986),
+    each position resting on the last earlier occurrence of every letter it
+    does not commute with, then repeatedly emits the largest letter whose
+    position rests on nothing left; equal letters are dependent, so there is
+    at most one such position per letter.  O(L * deg) for L letters.
     """
-    for c in letters:
-        if not g.has_vertex(c):
+    dep = g.dependence
+    last: dict[int, int] = {}
+    above: list[list[int]] = []   # positions resting directly on each one
+    under: list[int] = []         # how many positions each one still rests on
+    for p, c in enumerate(letters):
+        if c not in dep:
             raise GraphError(f"unknown letter {c}")
-    remaining = list(letters)
+        n = 0
+        for d in dep[c]:
+            q = last.get(d)
+            if q is not None:
+                above[q].append(p)
+                n += 1
+        above.append([])
+        under.append(n)
+        last[c] = p
+    ready = {c: p for p, c in enumerate(letters) if not under[p]}
     out = []
-    while remaining:
-        best_idx = -1
-        for j, c in enumerate(remaining):
-            if any(_dependent(g, remaining[m], c) for m in range(j)):
-                continue
-            if best_idx < 0 or c > remaining[best_idx]:
-                best_idx = j
-        out.append(remaining.pop(best_idx))
+    while ready:
+        c = max(ready)
+        out.append(c)
+        for p in above[ready.pop(c)]:
+            under[p] -= 1
+            if not under[p]:
+                ready[letters[p]] = p
     return tuple(out)
 
 
 def initial_alphabet(w: Sequence[int], g: Graph) -> Counter:
-    """Multiset IA_m: letter i has multiplicity m iff m copies of i can be
-    stripped from the end, one representative at a time (w = u * i^m)."""
+    """Multiset IA_m: letter i has multiplicity m iff w = u * i^m with m
+    maximal, i.e. m occurrences of i follow the last occurrence of any
+    neighbour of i.  One backward scan."""
+    dep = g.dependence
     ia: Counter = Counter()
-    for i in set(w):
-        seq = list(w)
-        m = 0
-        while True:
-            try:
-                p = len(seq) - 1 - seq[::-1].index(i)
-            except ValueError:
-                break
-            if any(_dependent(g, i, seq[j]) for j in range(p + 1, len(seq))):
-                break
-            del seq[p]
-            m += 1
-        if m:
-            ia[i] = m
+    blocked: set[int] = set()   # letters with a neighbour later in w
+    for c in reversed(w):
+        if c not in dep:
+            raise GraphError(f"unknown letter {c}")
+        free = c not in blocked
+        blocked |= dep[c]
+        if free:
+            ia[c] += 1
+            blocked.discard(c)
     return ia
 
 
@@ -79,50 +86,45 @@ def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     """
     if initial_alphabet_set(w, g) != frozenset({i}):
         raise GraphError(f"word does not have initial alphabet {{{i}}}")
+    dep = g.dependence
     seq = list(canonicalize(w, g))
     factors: list[TraceWord] = []
     while True:
         positions = [p for p, c in enumerate(seq) if c == i]
         if len(positions) <= 1:
-            factors.append(canonicalize(seq, g))
             break
-        p_prev = positions[-2]
-        below = {p_prev}
-        for j in range(p_prev - 1, -1, -1):
-            if any(_dependent(g, seq[j], seq[m]) for m in below if m > j):
-                below.add(j)
+        # Scan back from the second-to-last i, collecting every position
+        # that does not commute with one already collected.
+        below = [positions[-2]]
+        reach = set(dep[i])
+        for j in range(below[0] - 1, -1, -1):
+            if seq[j] in reach:
+                below.append(j)
+                reach |= dep[seq[j]]
+        below.reverse()
+        kept = set(below)
         factors.append(canonicalize(
-            [seq[j] for j in range(len(seq)) if j not in below], g))
-        seq = [seq[j] for j in sorted(below)]
-    factors.reverse()
-    return tuple(factors)
+            [c for j, c in enumerate(seq) if j not in kept], g))
+        seq = [seq[j] for j in below]
+    factors.append(canonicalize(seq, g))
+    return tuple(reversed(factors))
 
 
 def concat(factors: Iterable[Sequence[int]], g: Graph) -> TraceWord:
-    flat: list[int] = []
-    for f in factors:
-        flat.extend(f)
-    return canonicalize(flat, g)
+    return canonicalize([c for f in factors for c in f], g)
 
 
-def is_aperiodic(f: IForm, g: Graph) -> bool:
-    """True iff all cyclic rotations of the factor sequence are distinct traces."""
-    rotations = {concat(f[r:] + f[:r], g) for r in range(len(f))}
-    return len(rotations) == len(f)
+def _class_rep(f: IForm, g: Graph) -> IForm | None:
+    """The rotation of f whose concatenated canonical form is least, or None
+    when two rotations concatenate to the same trace (f is periodic)."""
+    words = [concat(f[r:] + f[:r], g) for r in range(len(f))]
+    if len(set(words)) < len(words):
+        return None
+    r = words.index(min(words))
+    return f[r:] + f[:r]
 
 
-def cyclic_class_rep(f: IForm, g: Graph) -> IForm:
-    """Rotation whose concatenated canonical form is lexicographically least."""
-    best = None
-    for r in range(len(f)):
-        rot = f[r:] + f[:r]
-        key = concat(rot, g)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    return best[1]
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_weight_words(g: Graph, k: WeightVector,
                            max_height: int = 12) -> tuple[TraceWord, ...]:
     """All trace-monoid elements of the given weight, as sorted canonical forms.
@@ -136,30 +138,32 @@ def enumerate_weight_words(g: Graph, k: WeightVector,
     out: list[TraceWord] = []
     residual = k.as_dict()
     prefix: list[int] = []
+    support = k.support
+    dep = g.dependence
 
     def extension_canonical(c: int) -> bool:
         # c may not be movable before any smaller letter: scan back while
         # independent; hitting a smaller independent letter breaks canonicity.
         for m in range(len(prefix) - 1, -1, -1):
-            if _dependent(g, prefix[m], c):
+            if prefix[m] in dep[c]:
                 return True
             if c > prefix[m]:
                 return False
         return True
 
-    def rec():
-        if all(v == 0 for v in residual.values()):
+    def rec(left: int):
+        if not left:
             out.append(tuple(prefix))
             return
-        for c in k.support:
+        for c in support:
             if residual[c] and extension_canonical(c):
                 residual[c] -= 1
                 prefix.append(c)
-                rec()
+                rec(left - 1)
                 prefix.pop()
                 residual[c] += 1
 
-    rec()
+    rec(k.height)
     return tuple(sorted(out))
 
 
@@ -175,7 +179,7 @@ def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
     """Aperiodic members of b_tilde, one i-form per cyclic rotation class."""
     reps = set()
     for w in b_tilde(g, k, i):
-        f = i_form(w, i, g)
-        if is_aperiodic(f, g):
-            reps.add(cyclic_class_rep(f, g))
+        rep = _class_rep(i_form(w, i, g), g)
+        if rep is not None:
+            reps.add(rep)
     return sorted(reps)

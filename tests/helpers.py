@@ -1,6 +1,7 @@
 """Shared graph families and independent oracles for the test suite."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -134,3 +135,68 @@ def lyndon_content_count(k: list[int]) -> int:
         if all(w < w[r:] + w[:r] for r in range(1, len(w))):
             count += 1
     return count
+
+
+def _dependent(g: Graph, a: int, b: int) -> bool:
+    return a == b or g.adjacent(a, b)
+
+
+def greedy_canonicalize(letters, g: Graph) -> tuple[int, ...]:
+    """Reference lexicographically maximal form, O(L^3): repeatedly emit the
+    largest letter among the positions with no earlier dependent position
+    left."""
+    remaining = list(letters)
+    out = []
+    while remaining:
+        best_idx = -1
+        for j, c in enumerate(remaining):
+            if any(_dependent(g, remaining[m], c) for m in range(j)):
+                continue
+            if best_idx < 0 or c > remaining[best_idx]:
+                best_idx = j
+        out.append(remaining.pop(best_idx))
+    return tuple(out)
+
+
+def strip_initial_alphabet(w, g: Graph) -> Counter:
+    """Reference initial alphabet: for each letter i, strip copies of i from
+    the end one at a time while nothing after them depends on i."""
+    ia: Counter = Counter()
+    for i in set(w):
+        seq = list(w)
+        m = 0
+        while True:
+            try:
+                p = len(seq) - 1 - seq[::-1].index(i)
+            except ValueError:
+                break
+            if any(_dependent(g, i, seq[j]) for j in range(p + 1, len(seq))):
+                break
+            del seq[p]
+            m += 1
+        if m:
+            ia[i] = m
+    return ia
+
+
+def fraction_rank(rows) -> int:
+    """Reference rank over the rationals: Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    col = 0
+    ncols = len(m[0]) if m else 0
+    while rank < len(m) and col < ncols:
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 from math import factorial
@@ -79,6 +80,47 @@ def test_words_command(capsys, showcase_file):
                                 "--k", "1:1,2:1", "--json"])
     assert code == 0
     assert json.loads(out)["words"] == ["1 2", "2 1"]
+
+
+def test_aperiodic_classes_output_pinned(capsys, tmp_path):
+    # Recorded from the greedy O(L^3) canonicalizer; any change of normal
+    # form or class representative that reorders the output fails here.
+    p = tmp_path / "c4.json"
+    p.write_text(graph_to_json(new_graph(
+        [1, 2, 3, 4], edges=[(1, 2), (2, 3), (3, 4), (1, 4)])))
+    code, out, _ = run(capsys, ["words", "--graph", str(p),
+                                "--k", "1:2,2:3,3:3,4:2",
+                                "--aperiodic-classes", "1", "--json"])
+    assert code == 0
+    classes = json.loads(out)["aperiodic_classes"]
+    assert len(classes) == 510
+    assert classes[:3] == ["1 | 2 2 2 3 3 3 4 4 1", "1 | 2 2 2 3 3 4 3 4 1",
+                           "1 | 2 2 2 3 4 3 3 4 1"]
+    assert classes[-3:] == ["4 3 2 1 | 4 3 2 3 2 1", "4 3 2 1 | 4 3 3 2 2 1",
+                            "4 3 2 2 1 | 4 3 3 2 1"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2b3efe40a654399b1db701dca069ac3927926da0aa498045c0875bccb5181633"
+
+
+def test_basis_verify_output_pinned(capsys, tmp_path):
+    p = tmp_path / "k3.json"
+    p.write_text(graph_to_json(new_graph(
+        [1, 2, 3], edges=[(1, 2), (1, 3), (2, 3)])))
+    code, out, _ = run(capsys, ["basis", "--graph", str(p),
+                                "--k", "1:2,2:2,3:2", "--sink", "1",
+                                "--verify", "--json"])
+    assert code == 0
+    assert out == (
+        '{"basis": ["[e1,[e2,[e2,[e3,[e3,e1]]]]]", '
+        '"[e1,[e2,[e3,[e2,[e3,e1]]]]]", "[e1,[e2,[e3,[e3,[e2,e1]]]]]", '
+        '"[e1,[e3,[e2,[e2,[e3,e1]]]]]", "[e1,[e3,[e2,[e3,[e2,e1]]]]]", '
+        '"[e1,[e3,[e3,[e2,[e2,e1]]]]]", "[[e2,e1],[e2,[e3,[e3,e1]]]]", '
+        '"[[e2,e1],[e3,[e2,[e3,e1]]]]", "[[e2,e1],[e3,[e3,[e2,e1]]]]", '
+        '"[[e2,[e2,e1]],[e3,[e3,e1]]]", "[[e2,[e2,[e3,e1]]],[e3,e1]]", '
+        '"[[e2,[e3,e1]],[e3,[e2,e1]]]", "[[e2,[e3,[e2,e1]]],[e3,e1]]", '
+        '"[[e3,e1],[e3,[e2,[e2,e1]]]]"], "schema": "1", '
+        '"verify": {"lyndon_count": 14, "multiplicity": 14, "ok": true, '
+        '"rank": 14}}\n')
 
 
 def test_orientations_command(capsys, showcase_file):

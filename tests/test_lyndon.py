@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chromalie import (GraphError, WeightVector, bracket_tree, c_i_set,
@@ -7,7 +9,7 @@ from chromalie import (GraphError, WeightVector, bracket_tree, c_i_set,
                        verify_basis, x_i_alphabet)
 from chromalie.lyndon import exact_rank
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, fraction_rank, path_graph
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 SHOWCASE_K = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
@@ -94,6 +96,28 @@ def test_exact_rank():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[0, 0]]) == 0
     assert exact_rank([]) == 0
+
+
+def test_exact_rank_matches_fraction_rank():
+    # small integer matrices with zero rows, duplicate and negated rows,
+    # negative entries, and more rows than columns
+    rng = random.Random(6)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        extra = rng.choice(["zero", "duplicate", "negated", "combination"])
+        if extra == "zero":
+            rows.append([0] * ncols)
+        elif extra == "duplicate":
+            rows.append(list(rng.choice(rows)))
+        elif extra == "negated":
+            rows.append([-x for x in rng.choice(rows)])
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([3 * x - 2 * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        assert exact_rank(rows) == fraction_rank(rows), rows
 
 
 def test_verify_basis_showcase():

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
-                       cyclic_class_rep, enumerate_weight_words, i_form,
-                       initial_alphabet, initial_alphabet_set, is_aperiodic,
-                       new_graph)
-from chromalie.trace import concat
+                       enumerate_weight_words, i_form, initial_alphabet,
+                       initial_alphabet_set, is_connected_sub, new_graph)
+from chromalie.trace import _class_rep, concat
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (complete_graph, cycle_graph, greedy_canonicalize,
+                     path_graph, random_graphs, strip_initial_alphabet)
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -28,6 +30,29 @@ def test_canonicalize_showcase():
 def test_canonicalize_rejects_unknown_letters():
     with pytest.raises(GraphError):
         canonicalize((9,), path_graph(2))
+    with pytest.raises(GraphError):
+        canonicalize((1, 9, 2), path_graph(2))
+    with pytest.raises(GraphError):
+        initial_alphabet((1, 9), path_graph(2))
+
+
+def test_word_layer_matches_references():
+    # words of 0-12 letters on random graphs with 1-7 vertices, against the
+    # greedy O(L^3) normal form and the strip-loop initial alphabet
+    rng = random.Random(5)
+    shapes = set()
+    for g in random_graphs(seed=4, count=120, max_n=7):
+        n, m = len(g.vertices), len(g.edges)
+        shapes.add("edgeless" if not m else
+                   "complete" if 2 * m == n * (n - 1) else
+                   "connected" if is_connected_sub(g, g.vertices) else
+                   "disconnected")
+        for _ in range(8):
+            w = [rng.choice(g.vertices) for _ in range(rng.randint(0, 12))]
+            assert canonicalize(w, g) == greedy_canonicalize(w, g), (g, w)
+            assert initial_alphabet(w, g) == strip_initial_alphabet(w, g), \
+                (g, w)
+    assert shapes == {"edgeless", "complete", "connected", "disconnected"}
 
 
 @given(st.lists(st.integers(1, 4), max_size=7), st.randoms())
@@ -120,12 +145,12 @@ def test_b_tilde_showcase():
 def test_aperiodicity():
     g = path_graph(2)
     k = WeightVector.of({1: 2, 2: 2})
-    # (12)(12) is periodic, so it contributes no aperiodic class
-    forms = b_set(g, k, 1)
-    periodic = [f for f in forms if not is_aperiodic(f, g)]
-    assert not periodic
-    for f in forms:
-        assert cyclic_class_rep(f, g) == f
+    forms = sorted({i_form(w, 1, g) for w in b_tilde(g, k, 1)})
+    # (21)(21) is periodic, so it has no class representative
+    assert [f for f in forms if _class_rep(f, g) is None] == [((2, 1), (2, 1))]
+    assert _class_rep(((2, 2, 1), (1,)), g) == ((1,), (2, 2, 1))
+    for f in b_set(g, k, 1):
+        assert _class_rep(f, g) == f
 
 
 def test_b_set_counts_match_multiplicity():
