@@ -48,7 +48,7 @@ def ordered_partition_counts(g: Graph, k: WeightVector) -> dict[int, int]:
     return dict(sorted(rec(tuple(k.get(v) for v in support)).items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def chromatic_poly(g: Graph, k: WeightVector) -> QPolynomial:
     """The multicoloring-counting polynomial in the number of colors q."""
     counts = ordered_partition_counts(g, k)

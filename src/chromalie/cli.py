@@ -15,6 +15,7 @@ from .graphs import Graph, GraphError, WeightVector, complement, \
 
 MAX_HEIGHT = 12
 MAX_VERTICES = 10
+MAX_RECIPROCITY_WORK = 10 ** 7  # q * 3^n subset-convolution steps
 SCHEMA = "1"
 
 
@@ -218,6 +219,10 @@ def cmd_lcs_ranks(args) -> int:
 def cmd_reciprocity(args) -> int:
     g = load_graph(args.graph)
     check_limits(g, None)
+    work = args.q * 3 ** len(g.vertices)
+    if work > MAX_RECIPROCITY_WORK:
+        raise GraphError(f"reciprocity work q*3^n = {work} (n = "
+                         f"{len(g.vertices)}) exceeds {MAX_RECIPROCITY_WORK}")
     pairs = hilbert.count_compatible_pairs(g, args.q)
     k = WeightVector.ones(g.vertices)
     signed = (-1) ** len(g.vertices) * chromatic.chromatic_poly(g, k).eval(-args.q)

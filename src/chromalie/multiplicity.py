@@ -13,13 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
+from operator import le, sub
 from typing import Callable
 
 from .chromatic import chromatic_poly
 from .graphs import (Graph, GraphError, REAL, WeightVector, is_connected_sub,
                      join_graph, weight_box)
-from .polynomials import QPolynomial, scaled_binomial
+from .polynomials import QPolynomial, times_scaled_falling
 
 
 def moebius(n: int) -> int:
@@ -68,7 +69,7 @@ def _check_real_constraint(g: Graph, k: WeightVector) -> None:
                 f"real vertex {v} carries weight {k.get(v)} > 1")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def root_multiplicity(g: Graph, k: WeightVector) -> int:
     """Moebius-inversion formula over |linear coefficient of chromatic_poly|.
 
@@ -98,45 +99,56 @@ class BondPartition:
 
 
 def bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
-    """All multisets of connected-support weight vectors that sum to k."""
+    """All multisets of connected-support weight vectors that sum to k.
+    Depth-first over descending candidates on tuples aligned to k.support;
+    each residual carries the candidates from the current one on that fit."""
     k.check_support(g)
     if k.is_zero:
         return [BondPartition(())]
     candidates = sorted((w for w in weight_box(k.as_dict())
                          if is_connected_sub(g, w.support)), reverse=True)
+    vectors = [tuple(w.get(v) for v in k.support) for w in candidates]
     results: list[BondPartition] = []
 
-    def rec(residual: WeightVector, start: int, acc: list[WeightVector]):
-        if residual.is_zero:
-            results.append(BondPartition(tuple(acc)))
+    def rec(residual: tuple[int, ...], fitting: list[int],
+            acc: tuple[WeightVector, ...]):
+        if not any(residual):
+            results.append(BondPartition(acc))
             return
-        for idx in range(start, len(candidates)):
-            j = candidates[idx]
-            if j.leq(residual):
-                acc.append(j)
-                rec(residual.minus(j), idx, acc)
-                acc.pop()
+        for pos, idx in enumerate(fitting):
+            rest = tuple(map(sub, residual, vectors[idx]))
+            rec(rest, [j for j in fitting[pos:]
+                       if all(map(le, vectors[j], rest))],
+                acc + (candidates[idx],))
 
-    rec(k, 0, [])
+    rec(tuple(k.get(v) for v in k.support), list(range(len(candidates))), ())
     return results
 
 
 def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
     """Chromatic polynomial rebuilt from root multiplicities: a signed sum over
-    the weighted bond lattice of products C(q*mult(part sum), part repetition)."""
+    the weighted bond lattice of products C(q*mult(part sum), part repetition).
+    Each signature (length, sorted (mult, repetition) pairs) is multiplied
+    out once, in integers over ht(k)!, which every prod(repetition!) divides."""
     k.check_support(g)
     _check_real_constraint(g, k)
     if k.is_zero:
         return QPolynomial.of([1])
     ht = k.height
-    total = QPolynomial.of([])
+    signatures: Counter = Counter()
     for partition in bond_lattice(g, k):
-        sign = (-1) ** (ht + len(partition))
-        term = QPolynomial.of([sign])
-        for part, rep in sorted(partition.multiplicities().items()):
-            term = term * scaled_binomial(root_multiplicity(g, part), rep)
-        total = total + term
-    return total
+        pairs = sorted((root_multiplicity(g, part), rep)
+                       for part, rep in partition.multiplicities().items())
+        signatures[len(partition), tuple(pairs)] += 1
+    total = [0] * (ht + 1)
+    for (length, pairs), count in signatures.items():
+        coeffs = [(-1) ** (ht + length) * count * factorial(ht)
+                  // prod(factorial(rep) for _, rep in pairs)]
+        for m, rep in pairs:
+            coeffs = times_scaled_falling(coeffs, m, rep)
+        for power, c in enumerate(coeffs):
+            total[power] += c
+    return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
 
 
 @dataclass(frozen=True)

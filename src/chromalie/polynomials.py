@@ -96,7 +96,6 @@ class QPolynomial:
 
 ZERO = QPolynomial(())
 ONE = QPolynomial((Fraction(1),))
-Q = QPolynomial((Fraction(0), Fraction(1)))  # the variable itself
 
 
 def falling_binomial(offset: int, k: int) -> QPolynomial:
@@ -109,12 +108,18 @@ def falling_binomial(offset: int, k: int) -> QPolynomial:
     return p.scale(Fraction(1, factorial(k)))
 
 
+def times_scaled_falling(coeffs: list[int], m: int, r: int) -> list[int]:
+    """Integer coefficients (constant first) of coeffs(q) times the falling
+    factorial (m*q)(m*q - 1)...(m*q - r + 1)."""
+    for j in range(r):
+        coeffs = [m * b - j * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def scaled_binomial(m: int, k: int) -> QPolynomial:
     """Binomial coefficient C(m*q, k) as a degree-k polynomial in q."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    p = ONE
-    for j in range(k):
-        p = p * QPolynomial.of([-j, m])
-    return p.scale(Fraction(1, factorial(k)))
+    return QPolynomial.of(times_scaled_falling([1], m, k)).scale(
+        Fraction(1, factorial(k)))
 

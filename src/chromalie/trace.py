@@ -114,10 +114,14 @@ def concat(factors: Iterable[Sequence[int]], g: Graph) -> TraceWord:
     return canonicalize([c for f in factors for c in f], g)
 
 
-def _class_rep(f: IForm, g: Graph) -> IForm | None:
+def _class_rep(f: IForm, g: Graph,
+               rotations: set[TraceWord] | None = None) -> IForm | None:
     """The rotation of f whose concatenated canonical form is least, or None
-    when two rotations concatenate to the same trace (f is periodic)."""
+    when two rotations concatenate to the same trace (f is periodic).  The
+    concatenated rotations are added to `rotations` when it is given."""
     words = [concat(f[r:] + f[:r], g) for r in range(len(f))]
+    if rotations is not None:
+        rotations.update(words)
     if len(set(words)) < len(words):
         return None
     r = words.index(min(words))
@@ -176,10 +180,14 @@ def b_tilde(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
 
 
 def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
-    """Aperiodic members of b_tilde, one i-form per cyclic rotation class."""
+    """Aperiodic members of b_tilde, one i-form per cyclic rotation class.
+    Rotations of an i-form concatenate to words of b_tilde with that rotation
+    as i-form, so words already produced as a rotation are skipped."""
     reps = set()
+    seen: set[TraceWord] = set()
     for w in b_tilde(g, k, i):
-        rep = _class_rep(i_form(w, i, g), g)
-        if rep is not None:
-            reps.add(rep)
+        if w not in seen:
+            rep = _class_rep(i_form(w, i, g), g, seen)
+            if rep is not None:
+                reps.add(rep)
     return sorted(reps)

@@ -7,8 +7,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, gcd
 
-from chromalie import Graph, WeightVector, new_graph
+from chromalie import BondPartition, Graph, WeightVector, is_connected_sub, \
+    new_graph, root_multiplicity
+from chromalie.graphs import weight_box
 from chromalie.multiplicity import moebius
+from chromalie.polynomials import QPolynomial, scaled_binomial
 
 
 def path_graph(n: int) -> Graph:
@@ -59,7 +62,6 @@ def connected_graphs_upto(n: int) -> tuple[Graph, ...]:
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             g = new_graph(range(1, m + 1), edges=edges)
-            from chromalie import is_connected_sub
             if not is_connected_sub(g, g.vertices):
                 continue
             key = _canonical_edges(m, g.edges)
@@ -200,3 +202,39 @@ def fraction_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
+    """Reference bond lattice: the same depth-first search over the connected
+    candidates in descending order, on WeightVector.leq and .minus."""
+    if k.is_zero:
+        return [BondPartition(())]
+    candidates = sorted((w for w in weight_box(k.as_dict())
+                         if is_connected_sub(g, w.support)), reverse=True)
+    results = []
+
+    def rec(residual, start, acc):
+        if residual.is_zero:
+            results.append(BondPartition(tuple(acc)))
+            return
+        for idx in range(start, len(candidates)):
+            j = candidates[idx]
+            if j.leq(residual):
+                acc.append(j)
+                rec(residual.minus(j), idx, acc)
+                acc.pop()
+
+    rec(k, 0, [])
+    return results
+
+
+def partition_product_expansion(g: Graph, k: WeightVector) -> QPolynomial:
+    """Reference bond expansion: one Fraction polynomial product of
+    C(q*mult(part), repetition) per partition of the reference lattice."""
+    total = QPolynomial.of([])
+    for partition in recursive_bond_lattice(g, k):
+        term = QPolynomial.of([(-1) ** (k.height + len(partition))])
+        for part, rep in sorted(partition.multiplicities().items()):
+            term = term * scaled_binomial(root_multiplicity(g, part), rep)
+        total = total + term
+    return total

@@ -148,6 +148,15 @@ def test_complete_graph_k10_counts(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_mult_bond_k4(capsys, tmp_path):
+    p = tmp_path / "k4.json"
+    p.write_text(graph_to_json(new_graph(
+        [1, 2, 3, 4], edges=combinations([1, 2, 3, 4], 2))))
+    code, out, _ = run(capsys, ["mult", "--graph", str(p), "--k",
+                                "1:3,2:3,3:3,4:3", "--method", "bond"])
+    assert code == 0 and out == "30798\n"  # the Moebius route's answer
+
+
 def test_hilbert_command(capsys, showcase_file):
     code, out, _ = run(capsys, ["hilbert", "--graph", showcase_file,
                                 "--q", "1", "--max-ht", "2", "--json"])
@@ -175,6 +184,14 @@ def test_reciprocity_command(capsys, showcase_file):
                                 "--q", "2"])
     assert code == 0
     assert "agreement: True" in out
+
+
+def test_reciprocity_work_limit(capsys, showcase_file):
+    # refused before any convolution: 4 vertices, q * 3^4 > 10^7
+    code, out, err = run(capsys, ["reciprocity", "--graph", showcase_file,
+                                  "--q", "123457"])
+    assert code == 3 and out == ""
+    assert "q*3^n = 10000017 (n = 4) exceeds 10000000" in err
 
 
 def test_verify_command(capsys, showcase_file):

@@ -1,16 +1,19 @@
+import random
+
 import pytest
 
 from chromalie import (GraphError, WeightVector, acyclic_counts, bond_lattice,
                        chromatic_poly, chromatic_via_bond_lattice,
                        count_unique_sink, enumerate_acyclic_orientations,
-                       moebius, moebius_invert, mult_via_orientations,
-                       new_graph,
+                       is_connected_sub, moebius, moebius_invert,
+                       mult_via_orientations, new_graph,
                        root_multiplicity, tuple_divisors)
 
 from chromalie.multiplicity import _unique_sink_counts
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph, random_graphs, witt_mult
+    partition_product_expansion, path_graph, random_graphs, \
+    recursive_bond_lattice, witt_mult
 
 
 def test_moebius_values():
@@ -70,6 +73,31 @@ def test_bond_lattice_identity_small():
     for g in (path_graph(3), cycle_graph(4), complete_graph(3)):
         for k in full_support_weights(g, 5):
             assert chromatic_via_bond_lattice(g, k) == chromatic_poly(g, k)
+
+
+def test_bond_lattice_matches_reference():
+    # real vertices (weight at most 1 there), zero entries and disconnected
+    # supports all occur; lists must agree part for part and in order
+    rng = random.Random(5)
+    seen = set()
+    for g in random_graphs(seed=5, count=80, max_n=5):
+        real = {v for v in g.vertices if rng.random() < 0.3}
+        g = new_graph(g.vertices, dict.fromkeys(real, "re"), g.edges)
+        for _ in range(3):
+            k = WeightVector.of({v: rng.randint(0, 1 if v in real else 3)
+                                 for v in g.vertices})
+            if k.height > 7:
+                continue
+            seen.add("real" if real & set(k.support) else "imaginary")
+            seen.add("zero entry" if len(k.support) < len(g.vertices)
+                     else "full support")
+            if k.support and not is_connected_sub(g, k.support):
+                seen.add("disconnected")
+            assert bond_lattice(g, k) == recursive_bond_lattice(g, k), (g, k)
+            assert chromatic_via_bond_lattice(g, k) == \
+                partition_product_expansion(g, k), (g, k)
+    assert seen == {"real", "imaginary", "zero entry", "full support",
+                    "disconnected"}
 
 
 def test_acyclic_orientation_counts():

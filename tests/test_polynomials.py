@@ -4,7 +4,8 @@ from math import comb
 from hypothesis import given, strategies as st
 
 from chromalie import QPolynomial, falling_binomial
-from chromalie.polynomials import ONE, ZERO, scaled_binomial
+from chromalie.polynomials import ONE, ZERO, scaled_binomial, \
+    times_scaled_falling
 
 
 def test_trim_and_degree():
@@ -48,6 +49,19 @@ def test_scaled_binomial():
     p = scaled_binomial(3, 2)
     for q in range(-3, 5):
         assert p.eval(q) == Fraction(3 * q * (3 * q - 1), 2)
+
+
+def test_times_scaled_falling():
+    for m in range(4):
+        for r in range(5):
+            coeffs = times_scaled_falling([2, -1], m, r)
+            for q in range(-3, 4):
+                falling = 1
+                for j in range(r):
+                    falling *= m * q - j
+                assert sum(c * q ** p for p, c in enumerate(coeffs)) == \
+                    (2 - q) * falling
+            assert scaled_binomial(m, r).eval(5) == comb(5 * m, r)
 
 
 def test_linear_coefficient():
