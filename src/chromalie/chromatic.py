@@ -8,12 +8,46 @@ with closed forms for complete graphs and trees and a brute-force oracle.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
+from operator import sub
+from typing import Callable
 
 from .graphs import Graph, GraphError, WeightVector, \
     enumerate_independent_sets
-from .polynomials import ONE, QPolynomial, falling_binomial
+from .polynomials import ONE, QPolynomial, falling_binomial, \
+    times_scaled_falling
+
+
+@lru_cache(maxsize=32)
+def _partition_dp(g: Graph) -> Callable[[tuple[int, ...]], list[int]]:
+    """A function from a residual weight, as a tuple aligned to g.vertices,
+    to the number of ordered l-tuples of nonempty independent sets whose
+    disjoint union realizes it, at list index l.  Its residual memo lives as
+    long as the graph's cache entry, so every weight of a box shares it."""
+    parts = []
+    for s in enumerate_independent_sets(g):
+        if s:
+            bits = tuple(int(v in s) for v in g.vertices)
+            parts.append((sum(b << j for j, b in enumerate(bits)), bits))
+    memo: dict[tuple[int, ...], list[int]] = {(0,) * len(g.vertices): [1]}
+
+    def counts(residual: tuple[int, ...]) -> list[int]:
+        out = memo.get(residual)
+        if out is None:
+            alive = sum(1 << j for j, c in enumerate(residual) if c)
+            out = [0] * (sum(residual) + 1)
+            for mask, bits in parts:
+                if not mask & ~alive:
+                    for length, n in enumerate(
+                            counts(tuple(map(sub, residual, bits))), 1):
+                        out[length] += n
+            memo[residual] = out
+        return out
+
+    return counts
 
 
 def ordered_partition_counts(g: Graph, k: WeightVector) -> dict[int, int]:
@@ -24,38 +58,24 @@ def ordered_partition_counts(g: Graph, k: WeightVector) -> dict[int, int]:
     Zero weight yields {0: 1} (the empty tuple).
     """
     k.check_support(g)
-    if k.is_zero:
-        return {0: 1}
-    support = k.support
-    parts = [p for p in enumerate_independent_sets(g.induced(support)) if p]
-    memo: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def rec(residual: tuple[int, ...]) -> dict[int, int]:
-        if not any(residual):
-            return {0: 1}
-        if residual in memo:
-            return memo[residual]
-        alive = {v for v, c in zip(support, residual) if c > 0}
-        out: dict[int, int] = {}
-        for p in parts:
-            if p <= alive:
-                rest = tuple(c - (v in p) for v, c in zip(support, residual))
-                for length, n in rec(rest).items():
-                    out[length + 1] = out.get(length + 1, 0) + n
-        memo[residual] = out
-        return out
-
-    return dict(sorted(rec(tuple(k.get(v) for v in support)).items()))
+    weights = k.as_dict()
+    counts = _partition_dp(g)(tuple(weights.get(v, 0) for v in g.vertices))
+    return {length: n for length, n in enumerate(counts) if n}
 
 
 @lru_cache(maxsize=4096)
 def chromatic_poly(g: Graph, k: WeightVector) -> QPolynomial:
-    """The multicoloring-counting polynomial in the number of colors q."""
-    counts = ordered_partition_counts(g, k)
-    total = QPolynomial.of([])
-    for length, n in counts.items():
-        total = total + falling_binomial(0, length).scale(n)
-    return total
+    """The multicoloring-counting polynomial in the number of colors q:
+    sum over l of n_l * C(q, l), assembled in integers as
+    n_l * (ht!/l!) * q(q-1)...(q-l+1) and divided by ht! once."""
+    ht = k.height
+    total = [0] * (ht + 1)
+    for length, n in ordered_partition_counts(g, k).items():
+        term = times_scaled_falling(
+            [n * (factorial(ht) // factorial(length))], 1, length)
+        for power, c in enumerate(term):
+            total[power] += c
+    return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
 
 
 def chromatic_complete(k: list[int]) -> QPolynomial:
@@ -99,25 +119,32 @@ def chromatic_tree(g: Graph, k: WeightVector) -> QPolynomial:
 
 
 def coloring_count_oracle(g: Graph, k: WeightVector, q: int) -> int:
-    """Brute-force multicoloring count; independent of the polynomial route."""
+    """Brute-force multicoloring count; independent of the polynomial route.
+    Color sets are bitmasks over {0..q-1}, chosen vertex by vertex in support
+    order, each avoiding the colors of its earlier neighbours; the last
+    vertex's choices are counted rather than listed."""
     if q < 0:
         raise GraphError("q must be non-negative")
     k.check_support(g)
     support = k.support
-    colors = range(q)
+    if not support:
+        return 1
+    sizes = [k.get(v) for v in support]
+    earlier = [[j for j, u in enumerate(support[:idx]) if g.adjacent(u, v)]
+               for idx, v in enumerate(support)]
+    used = [0] * len(support)
 
-    def rec(idx: int, assigned: dict[int, frozenset[int]]) -> int:
-        if idx == len(support):
-            return 1
-        v = support[idx]
-        forbidden = frozenset().union(
-            *(assigned[u] for u in assigned if g.adjacent(u, v)), frozenset())
+    def rec(idx: int) -> int:
+        forbidden = 0
+        for j in earlier[idx]:
+            forbidden |= used[j]
+        free = [1 << c for c in range(q) if not forbidden >> c & 1]
+        if idx == len(support) - 1:
+            return comb(len(free), sizes[idx])
         total = 0
-        for choice in combinations([c for c in colors if c not in forbidden],
-                                   k.get(v)):
-            assigned[v] = frozenset(choice)
-            total += rec(idx + 1, assigned)
-            del assigned[v]
+        for choice in combinations(free, sizes[idx]):
+            used[idx] = sum(choice)
+            total += rec(idx + 1)
         return total
 
-    return rec(0, {})
+    return rec(0)

@@ -49,17 +49,22 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        return {v: tuple(u for u in self.vertices
+                         if u != v and self.adjacent(u, v))
+                for v in self.vertices}
+
+    @cached_property
     def dependence(self) -> dict[int, frozenset[int]]:
         """Each vertex mapped to itself plus its neighbours: the letters it
         does not commute with in the trace monoid."""
-        return {v: frozenset(u for u in self.vertices
-                             if u == v or self.adjacent(u, v))
-                for v in self.vertices}
+        return {v: frozenset((v, *nbrs)) for v, nbrs in self._adjacency.items()}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in self.vertices:
-            raise GraphError(f"unknown vertex {v}")
-        return tuple(u for u in self.vertices if u != v and self.adjacent(u, v))
+        try:
+            return self._adjacency[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v}") from None
 
     def induced(self, s: Iterable[int]) -> "Graph":
         keep = set(s)

@@ -11,11 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import sub
 
 from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, complement, \
     enumerate_independent_sets, is_triangle_free, weight_box
-from .multiplicity import acyclic_counts, moebius_invert
+from .multiplicity import acyclic_counts, independent_signs, \
+    moebius_invert
 from .polynomials import QPolynomial
 from .trace import enumerate_weight_words
 
@@ -199,11 +201,47 @@ def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
 
 def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:
     """Graded dimensions of the q-fold tensor power for every weight vector of
-    height at most the bound (the zero weight included, with dimension 1)."""
+    height at most the bound (the zero weight included, with dimension 1).
+
+    They are the coefficients F_m of F = D^-q, D = sum over independent S of
+    (-1)^|S| x^S (Cartier & Foata 1969).  The Euler operator E = sum of
+    x_v d/dx_v gives D * E(F) = -q F * E(D), whose coefficient at m != 0 is
+    the integer recurrence
+    ht(m) F_m = sum over nonempty independent S within supp(m) of
+    (-1)^(|S|+1) (ht(m) + (q-1)|S|) F_(m-S),
+    solved over the box in order of height on tuples aligned to g.vertices.
+    """
     g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
     if max_height < 0:
         raise GraphError("height bound must be non-negative")
-    box = weight_box(dict.fromkeys(g.vertices, max_height), max_height)
-    return {k: 1 if k.is_zero else uq_dimension(g, k, q) for k in box}
+    n = len(g.vertices)
+    sign = independent_signs(g)
+    bits = {s: tuple(s >> j & 1 for j in range(n))
+            for s in range(1, 1 << n) if sign[s]}
+    box = sorted(weight_box(dict.fromkeys(g.vertices, max_height), max_height),
+                 key=lambda k: k.height)
+    dims: dict[tuple[int, ...], int] = {}
+    table: dict[WeightVector, int] = {}
+    for k in box:
+        weights = k.as_dict()
+        m = tuple(weights.get(v, 0) for v in g.vertices)
+        ht = k.height
+        if not ht:
+            dims[m] = table[k] = 1
+            continue
+        total = 0
+        alive = sum(1 << j for j, c in enumerate(m) if c)
+        s = alive
+        while s:
+            if sign[s]:
+                total += sign[s] * (ht + (q - 1) * s.bit_count()) * \
+                    dims[tuple(map(sub, m, bits[s]))]
+            s = (s - 1) & alive
+        value, rest = divmod(total, ht)
+        if rest or value < 0:
+            raise GraphError(f"weight {k.as_dict()}: {total}/{ht} is not a "
+                             f"non-negative integer dimension")
+        dims[m] = table[k] = value
+    return table

@@ -198,7 +198,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:
     return out
 
 
-def _independent_signs(g: Graph) -> list[int]:
+def independent_signs(g: Graph) -> list[int]:
     """sign[S] for every bitmask S over g.vertices (bit j is the j-th vertex):
     (-1)^(|S|+1) if S is an independent set, else 0."""
     n = len(g.vertices)
@@ -233,7 +233,7 @@ def acyclic_counts(g: Graph) -> list[int]:
     the bitmask S over g.vertices, for every S (Stanley 1973): a[0] = 1 and
     a[S] = sum over nonempty independent T within S of
     (-1)^(|T|+1) * a[S - T], inclusion-exclusion over a set T of sinks."""
-    return _acyclic_counts(_independent_signs(g))
+    return _acyclic_counts(independent_signs(g))
 
 
 @lru_cache(maxsize=32)
@@ -243,7 +243,7 @@ def _unique_sink_counts(g: Graph) -> dict[int, int]:
     because making every vertex of T a sink leaves any acyclic orientation
     on V - T.  The cache serves the sinks and divisors of one weight, which
     share join graphs."""
-    sign = _independent_signs(g)
+    sign = independent_signs(g)
     a = _acyclic_counts(sign)
     full = len(a) - 1
     counts = dict.fromkeys(g.vertices, 0)

@@ -27,10 +27,6 @@ class QPolynomial:
     def of(cls, coeffs) -> "QPolynomial":
         return cls(_trim(Fraction(c) for c in coeffs))
 
-    @classmethod
-    def constant(cls, c) -> "QPolynomial":
-        return cls.of([c])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

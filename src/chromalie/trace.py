@@ -86,6 +86,11 @@ def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     """
     if initial_alphabet_set(w, g) != frozenset({i}):
         raise GraphError(f"word does not have initial alphabet {{{i}}}")
+    return _i_form(w, i, g)
+
+
+def _i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
+    """i_form without the initial-alphabet check, for words of b_tilde."""
     dep = g.dependence
     seq = list(canonicalize(w, g))
     factors: list[TraceWord] = []
@@ -171,12 +176,24 @@ def enumerate_weight_words(g: Graph, k: WeightVector,
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=256)
+def _words_by_initial_letter(g: Graph, k: WeightVector
+                             ) -> dict[int, tuple[TraceWord, ...]]:
+    """The weight-k words whose initial alphabet is a single letter, grouped
+    by that letter; one initial_alphabet scan per word."""
+    groups: dict[int, list[TraceWord]] = {}
+    for w in enumerate_weight_words(g, k):
+        ia = initial_alphabet(w, g)
+        if len(ia) == 1:
+            groups.setdefault(next(iter(ia)), []).append(w)
+    return {i: tuple(ws) for i, ws in groups.items()}
+
+
 def b_tilde(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
     """Weight-k words whose initial alphabet (as a set) is exactly {i}."""
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
-    return [w for w in enumerate_weight_words(g, k)
-            if initial_alphabet_set(w, g) == frozenset({i})]
+    return list(_words_by_initial_letter(g, k).get(i, ()))
 
 
 def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
@@ -187,7 +204,7 @@ def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
     seen: set[TraceWord] = set()
     for w in b_tilde(g, k, i):
         if w not in seen:
-            rep = _class_rep(i_form(w, i, g), g, seen)
+            rep = _class_rep(_i_form(w, i, g), g, seen)
             if rep is not None:
                 reps.add(rep)
     return sorted(reps)

@@ -7,11 +7,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, gcd
 
-from chromalie import BondPartition, Graph, WeightVector, is_connected_sub, \
-    new_graph, root_multiplicity
+from hypothesis import strategies as st
+
+from chromalie import BondPartition, Graph, WeightVector, \
+    enumerate_independent_sets, is_connected_sub, new_graph, root_multiplicity
 from chromalie.graphs import weight_box
 from chromalie.multiplicity import moebius
-from chromalie.polynomials import QPolynomial, scaled_binomial
+from chromalie.polynomials import QPolynomial, falling_binomial, \
+    scaled_binomial
 
 
 def path_graph(n: int) -> Graph:
@@ -36,6 +39,16 @@ def _canonical_edges(n: int, edges: frozenset) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+@st.composite
+def small_graphs(draw):
+    """Hypothesis strategy: graphs on vertices 1..n, n <= 6, any edge set."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    verts = list(range(1, n + 1))
+    pairs = [(u, v) for u in verts for v in verts if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return new_graph(verts, edges=edges)
 
 
 def random_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
@@ -237,4 +250,39 @@ def partition_product_expansion(g: Graph, k: WeightVector) -> QPolynomial:
         for part, rep in sorted(partition.multiplicities().items()):
             term = term * scaled_binomial(root_multiplicity(g, part), rep)
         total = total + term
+    return total
+
+
+def support_partition_counts(g: Graph, k: WeightVector) -> dict[int, int]:
+    """Reference ordered-partition counts: a fresh memo per call over the
+    independent sets of the support subgraph, on residuals aligned to it."""
+    if k.is_zero:
+        return {0: 1}
+    support = k.support
+    parts = [p for p in enumerate_independent_sets(g.induced(support)) if p]
+    memo = {}
+
+    def rec(residual):
+        if not any(residual):
+            return {0: 1}
+        if residual not in memo:
+            alive = {v for v, c in zip(support, residual) if c > 0}
+            out = Counter()
+            for p in parts:
+                if p <= alive:
+                    rest = tuple(c - (v in p) for v, c in zip(support, residual))
+                    for length, n in rec(rest).items():
+                        out[length + 1] += n
+            memo[residual] = dict(out)
+        return memo[residual]
+
+    return dict(sorted(rec(tuple(k.get(v) for v in support)).items()))
+
+
+def partition_sum_chromatic(g: Graph, k: WeightVector) -> QPolynomial:
+    """Reference chromatic polynomial: sum of n_l * C(q, l) as Fraction
+    polynomials, over the reference partition counts."""
+    total = QPolynomial.of([])
+    for length, n in support_partition_counts(g, k).items():
+        total = total + falling_binomial(0, length).scale(n)
     return total

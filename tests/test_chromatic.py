@@ -1,11 +1,16 @@
+from itertools import zip_longest
+
 import pytest
 
 from chromalie import (GraphError, WeightVector, chromatic_complete,
                        chromatic_poly, chromatic_tree, coloring_count_oracle,
-                       new_graph, ordered_partition_counts)
+                       complement, new_graph, ordered_partition_counts,
+                       weight_box)
+from chromalie import chromatic
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph
+    partition_sum_chromatic, path_graph, random_graphs, \
+    support_partition_counts
 
 
 def test_single_vertex():
@@ -94,3 +99,22 @@ def test_oracle_validation():
     with pytest.raises(GraphError):
         coloring_count_oracle(g, WeightVector.ones([1, 2]), -1)
     assert coloring_count_oracle(g, WeightVector.ones([1, 2]), 0) == 0
+
+
+def test_whole_boxes_match_reference():
+    # each graph interleaved with its complement (same vertices, other
+    # edges) from empty caches, so a residual memo leaking across graphs
+    # or weights would show
+    chromatic.chromatic_poly.cache_clear()
+    chromatic._partition_dp.cache_clear()
+    for g in random_graphs(seed=6, count=12, max_n=5):
+        h = complement(g)
+        boxes = [[(x, k) for k in weight_box(dict.fromkeys(x.vertices, 3), 4)]
+                 for x in (g, h)]
+        assert boxes[0][0][1].is_zero
+        for pair in zip_longest(*boxes):
+            for x, k in pair:
+                assert ordered_partition_counts(x, k) == \
+                    support_partition_counts(x, k), (x, k)
+                assert chromatic_poly(x, k) == partition_sum_chromatic(x, k), \
+                    (x, k)

@@ -2,7 +2,7 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from chromalie import (GraphError, WeightVector, complement,
                        enumerate_independent_sets, graph_from_json,
@@ -10,18 +10,10 @@ from chromalie import (GraphError, WeightVector, complement,
                        is_triangle_free, join_graph, new_graph, weight_box)
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph
+    path_graph, small_graphs
 
 
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    verts = list(range(1, n + 1))
-    pairs = [(u, v) for u in verts for v in verts if u < v]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return new_graph(verts, edges=edges)
-
-
-graphs = st.composite(small_graphs)()
+graphs = small_graphs()
 
 
 def test_vertex_validation():
@@ -48,6 +40,17 @@ def test_adjacency_and_neighbors():
     assert g.adjacent(1, 2) and g.adjacent(2, 1)
     assert not g.adjacent(1, 3)
     assert g.neighbors(2) == (1, 3)
+    assert g.neighbors(1) == (2,)
+    with pytest.raises(GraphError):
+        g.neighbors(9)
+
+
+@given(graphs)
+def test_neighbors_match_adjacent(g):
+    for v in g.vertices:
+        assert g.neighbors(v) == tuple(
+            u for u in g.vertices if u != v and g.adjacent(u, v))
+        assert g.dependence[v] == {v, *g.neighbors(v)}
 
 
 def test_induced_subgraph():

@@ -2,16 +2,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromalie import (GraphError, WeightVector, count_compatible_pairs,
                        enumerate_acyclic_orientations,
-                       independent_set_polynomial, lcs_ranks,
-                       lcs_ranks_triangle_free, lucas_value,
+                       enumerate_weight_words, independent_set_polynomial,
+                       lcs_ranks, lcs_ranks_triangle_free, lucas_value,
                        lucas_value_closed, new_graph,
                        ordered_partition_identity_check, series_table,
-                       trace_dimension_oracle, uq_dimension)
+                       trace_dimension_oracle, uq_dimension, weight_box)
 
-from helpers import complete_graph, cycle_graph, path_graph, random_graphs
+from helpers import complete_graph, cycle_graph, path_graph, random_graphs, \
+    small_graphs
 
 
 def test_uq_dimension_q1_is_trace_count():
@@ -117,3 +119,24 @@ def test_series_table():
     # one of each letter, q=2: pi(q(q-1)) at -2 with sign = 6
     assert table[WeightVector.ones([1, 2])] == 6
     assert len(table) == 6
+
+
+@settings(max_examples=40)
+@given(small_graphs(), st.integers(1, 3), st.integers(0, 5))
+def test_series_table_matches_uq_dimension(g, q, max_ht):
+    table = series_table(g, q, max_ht)
+    box = list(weight_box(dict.fromkeys(g.vertices, max_ht), max_ht))
+    assert table[WeightVector.of({})] == 1
+    assert table == {k: 1 if k.is_zero else uq_dimension(g, k, q)
+                     for k in box}
+    if q == 1:
+        assert table == {k: len(enumerate_weight_words(g, k)) for k in box}
+
+
+def test_series_table_validation():
+    with pytest.raises(GraphError):
+        series_table(path_graph(2), 0, 2)
+    with pytest.raises(GraphError):
+        series_table(path_graph(2), 1, -1)
+    with pytest.raises(GraphError):
+        series_table(new_graph([1, 2], kinds={1: "re"}), 1, 2)

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
-                       enumerate_weight_words, i_form, initial_alphabet,
-                       initial_alphabet_set, is_connected_sub, new_graph)
+                       enumerate_weight_words, graph_to_json, i_form,
+                       initial_alphabet, initial_alphabet_set,
+                       is_connected_sub, new_graph, trace, weight_box)
+from chromalie.cli import main
 from chromalie.trace import _class_rep, concat
 
 from helpers import (complete_graph, cycle_graph, greedy_canonicalize,
@@ -161,3 +164,35 @@ def test_b_set_counts_match_multiplicity():
             m = root_multiplicity(g, k)
             for i in k.support:
                 assert len(b_set(g, k, i)) == m
+
+
+def test_b_tilde_matches_filter_definition():
+    for g in random_graphs(seed=8, count=40, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 3), 4):
+            for i in k.support:
+                assert b_tilde(g, k, i) == [
+                    w for w in enumerate_weight_words(g, k)
+                    if initial_alphabet_set(w, g) == frozenset({i})], (g, k, i)
+
+
+def test_verify_scans_each_word_once(monkeypatch, tmp_path, capsys):
+    # the three-routes and b-recursion checks ask for b_tilde and b_set of
+    # every weight, sink and divisor; each word's initial alphabet is still
+    # computed once
+    g = cycle_graph(4)
+    path = tmp_path / "c4.json"
+    path.write_text(graph_to_json(g))
+    trace._words_by_initial_letter.cache_clear()
+    calls: Counter = Counter()
+    scan = trace.initial_alphabet
+
+    def counted(w, graph):
+        calls[tuple(w)] += 1
+        return scan(w, graph)
+
+    monkeypatch.setattr(trace, "initial_alphabet", counted)
+    assert main(["verify", "--graph", str(path), "--max-ht", "5"]) == 0
+    words = {w for k in weight_box(dict.fromkeys(g.vertices, 5), 5)
+             if not k.is_zero for w in enumerate_weight_words(g, k)}
+    assert set(calls) == words
+    assert set(calls.values()) == {1}
