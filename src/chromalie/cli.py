@@ -7,9 +7,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import Iterable
 
-from . import chromatic, hilbert, lyndon, multiplicity, trace
+# Each command imports the layer modules it calls, so that a request loads
+# (and, without cached bytecode, compiles) only what it runs.
 from .graphs import Graph, GraphError, WeightVector, complement, \
     graph_from_json, is_connected_sub, is_triangle_free, weight_box
 
@@ -62,7 +63,7 @@ def check_limits(g: Graph, k: WeightVector | None) -> None:
             f"{k.height}! = huge enumeration states")
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
     if args.json:
         payload = {"schema": SCHEMA, **payload}
         print(json.dumps(payload, sort_keys=True))
@@ -71,12 +72,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
+    """A Fraction as "n/d", or "n" when it is whole."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
         else str(x.numerator)
 
 
 def cmd_chromatic(args) -> int:
+    from . import chromatic
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
@@ -104,6 +107,7 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_mult(args) -> int:
+    from . import multiplicity
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
@@ -123,6 +127,7 @@ def cmd_mult(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from . import lyndon
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
@@ -150,6 +155,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_words(args) -> int:
+    from . import trace
     g = load_graph(args.graph)
     k = parse_weight_spec(args.k, g)
     check_limits(g, k)
@@ -169,6 +175,7 @@ def cmd_words(args) -> int:
 
 
 def cmd_orientations(args) -> int:
+    from . import multiplicity
     g = load_graph(args.graph)
     check_limits(g, None)
     count = multiplicity.acyclic_counts(g)[-1]
@@ -188,21 +195,25 @@ def cmd_orientations(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from . import hilbert
     g = load_graph(args.graph)
     check_limits(g, None)
     if args.max_ht > MAX_HEIGHT:
         raise GraphError(f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
     table = hilbert.series_table(g, args.q, args.max_ht)
-    entries = [{"k": {str(v): c for v, c in k.counts}, "dim": d}
-               for k, d in sorted(table.items())]
-    payload = {"q": args.q, "entries": entries}
-    lines = [f"{json.dumps(e['k'], sort_keys=True)} -> {e['dim']}"
-             for e in entries]
-    _emit(args, payload, lines)
+    # Built lazily, so that only the output that is printed gets built.
+    entries = ({"k": {str(v): c for v, c in k.counts}, "dim": table[k]}
+               for k in sorted(table, key=lambda k: k.counts))
+    if args.json:
+        _emit(args, {"q": args.q, "entries": list(entries)}, ())
+    else:
+        _emit(args, {}, (f"{json.dumps(e['k'], sort_keys=True)} -> {e['dim']}"
+                         for e in entries))
     return 0
 
 
 def cmd_lcs_ranks(args) -> int:
+    from . import hilbert
     g = load_graph(args.graph)
     check_limits(g, None)
     if args.triangle_free:
@@ -217,6 +228,7 @@ def cmd_lcs_ranks(args) -> int:
 
 
 def cmd_reciprocity(args) -> int:
+    from . import chromatic, hilbert
     g = load_graph(args.graph)
     check_limits(g, None)
     work = args.q * 3 ** len(g.vertices)
@@ -240,6 +252,7 @@ def _verify_failure(name: str, detail: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from . import chromatic, hilbert, multiplicity, trace
     g = load_graph(args.graph)
     check_limits(g, None)
     max_ht = args.max_ht

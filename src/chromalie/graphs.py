@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -22,11 +21,30 @@ class GraphError(ValueError):
     """Raised on malformed graph or weight-vector input."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple[int, ...]          # strictly increasing
-    kinds: tuple[str, ...]             # aligned with vertices, "re" or "im"
-    edges: frozenset[tuple[int, int]]  # each pair stored as (min, max)
+    """An immutable graph, compared and hashed by its three fields.  It keeps
+    a __dict__ for its cached_property tables."""
+
+    def __init__(self, vertices: tuple[int, ...], kinds: tuple[str, ...],
+                 edges: frozenset[tuple[int, int]]):
+        self.vertices = vertices    # strictly increasing
+        self.kinds = kinds          # aligned with vertices, "re" or "im"
+        self.edges = edges          # each pair stored as (min, max)
+        self._hash = hash((vertices, kinds, edges))
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self is other or (self.vertices == other.vertices
+                                 and self.kinds == other.kinds
+                                 and self.edges == other.edges)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"Graph(vertices={self.vertices!r}, kinds={self.kinds!r}, "
+                f"edges={self.edges!r})")
 
     def kind(self, v: int) -> str:
         try:
@@ -154,11 +172,46 @@ def is_triangle_free(g: Graph) -> bool:
                    for a, b, c in combinations(g.vertices, 3))
 
 
-@dataclass(frozen=True, order=True)
 class WeightVector:
-    """Finitely supported map vertex -> positive count, zeros dropped."""
+    """Finitely supported map vertex -> positive count, zeros dropped.
+    Equality, hashing and the four orderings are those of `counts`, and only
+    between weight vectors."""
 
-    counts: tuple[tuple[int, int], ...]  # (vertex, count), vertex ascending
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
+        self.counts = counts  # (vertex, count), vertex ascending
+
+    def __repr__(self) -> str:
+        return f"WeightVector(counts={self.counts!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightVector:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __lt__(self, other):
+        if other.__class__ is not WeightVector:
+            return NotImplemented
+        return self.counts < other.counts
+
+    def __le__(self, other):
+        if other.__class__ is not WeightVector:
+            return NotImplemented
+        return self.counts <= other.counts
+
+    def __gt__(self, other):
+        if other.__class__ is not WeightVector:
+            return NotImplemented
+        return self.counts > other.counts
+
+    def __ge__(self, other):
+        if other.__class__ is not WeightVector:
+            return NotImplemented
+        return self.counts >= other.counts
 
     @classmethod
     def of(cls, mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> "WeightVector":
@@ -196,24 +249,6 @@ class WeightVector:
         if any(c % ell for _, c in self.counts):
             raise GraphError(f"{ell} does not divide every entry")
         return WeightVector(tuple((v, c // ell) for v, c in self.counts))
-
-    def leq(self, other: "WeightVector") -> bool:
-        o = other.as_dict()
-        return all(c <= o.get(v, 0) for v, c in self.counts)
-
-    def minus(self, other: "WeightVector") -> "WeightVector":
-        d = self.as_dict()
-        for v, c in other.counts:
-            d[v] = d.get(v, 0) - c
-        if any(c < 0 for c in d.values()):
-            raise GraphError("weight subtraction went negative")
-        return WeightVector.of(d)
-
-    def plus(self, other: "WeightVector") -> "WeightVector":
-        d = self.as_dict()
-        for v, c in other.counts:
-            d[v] = d.get(v, 0) + c
-        return WeightVector.of(d)
 
     def check_support(self, g: Graph) -> None:
         for v in self.support:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
 from operator import sub
 
 from .chromatic import chromatic_poly
@@ -167,21 +166,6 @@ def lucas_value(ell: int, s: int, t: int) -> int:
     for _ in range(ell - 1):
         prev, cur = cur, s * cur + t * prev
     return cur
-
-
-def lucas_value_closed(ell: int, s: int, t: int) -> int:
-    """Closed-sum form of the Lucas value; cross-check for the recurrence."""
-    if ell < 0:
-        raise GraphError("ell must be non-negative")
-    if ell == 0:
-        return 2
-    total = Fraction(0)
-    for j in range(ell // 2 + 1):
-        total += (Fraction(ell, ell - j) * comb(ell - j, j)
-                  * Fraction(t) ** j * Fraction(s) ** (ell - 2 * j))
-    if total.denominator != 1:
-        raise GraphError(f"non-integral Lucas value {total}")
-    return int(total)
 
 
 def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:

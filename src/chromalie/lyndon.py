@@ -9,9 +9,8 @@ the bracketings inside the trace algebra lets us verify independence exactly.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from math import gcd
+from operator import le, sub
 
 from .graphs import Graph, GraphError, WeightVector, weight_box
 from .multiplicity import root_multiplicity
@@ -66,23 +65,27 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
     """All Lyndon sequences over the i-marked alphabet with total weight k."""
     if k.get(i) < 1:
         raise GraphError(f"vertex {i} needs positive weight")
-    letters = [(w, WeightVector.of(Counter(w))) for w in x_i_alphabet(g, k, i)]
+    support = k.support
+    marker = support.index(i)
+    # Each letter's weight as a count tuple aligned to k.support.
+    letters = [(w, tuple(w.count(v) for v in support))
+               for w in x_i_alphabet(g, k, i)]
     results = []
 
-    def rec(residual: WeightVector, acc: list[TraceWord]):
-        if residual.is_zero:
+    def rec(residual: tuple[int, ...], acc: list[TraceWord]):
+        if not any(residual):
             if is_lyndon(tuple(acc)):
                 results.append(tuple(acc))
             return
-        if residual.get(i) < 1:
+        if residual[marker] < 1:
             return
         for w, wt in letters:
-            if wt.leq(residual):
+            if all(map(le, wt, residual)):
                 acc.append(w)
-                rec(residual.minus(wt), acc)
+                rec(tuple(map(sub, residual, wt)), acc)
                 acc.pop()
 
-    rec(k, [])
+    rec(tuple(k.get(v) for v in support), [])
     return sorted(results)
 
 
@@ -150,16 +153,30 @@ def exact_rank(rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
 class BasisReport:
-    lyndon: list[LyndonSeq]          # c_i_set(g, k, i)
-    multiplicity: int
-    lyndon_count: int
-    counts_match: bool
-    rank: int
-    rank_matches: bool
-    right_normed_checked: bool       # only when k_i = 1
-    right_normed_consistent: bool
+    """What verify_basis found; a record, read but never modified."""
+
+    __slots__ = ("lyndon", "multiplicity", "lyndon_count", "counts_match",
+                 "rank", "rank_matches", "right_normed_checked",
+                 "right_normed_consistent")
+
+    def __init__(self, lyndon: list[LyndonSeq], multiplicity: int,
+                 lyndon_count: int, counts_match: bool, rank: int,
+                 rank_matches: bool, right_normed_checked: bool,
+                 right_normed_consistent: bool):
+        self.lyndon = lyndon                  # c_i_set(g, k, i)
+        self.multiplicity = multiplicity
+        self.lyndon_count = lyndon_count
+        self.counts_match = counts_match
+        self.rank = rank
+        self.rank_matches = rank_matches
+        self.right_normed_checked = right_normed_checked  # only when k_i = 1
+        self.right_normed_consistent = right_normed_consistent
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"BasisReport({fields})"
 
 
 def _expr_vector(expr: LieExpr, basis_words: list[TraceWord]) -> list[int]:

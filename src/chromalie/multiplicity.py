@@ -10,7 +10,6 @@ A third combinatorial route (aperiodic trace words) lives in trace.py.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -85,11 +84,24 @@ def root_multiplicity(g: Graph, k: WeightVector) -> int:
         chromatic_poly(g, k.divide(ell)).linear_coefficient))
 
 
-@dataclass(frozen=True)
 class BondPartition:
     """Multiset of connected-support weight vectors summing to an ambient one."""
 
-    parts: tuple[WeightVector, ...]  # sorted descending, repeats allowed
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[WeightVector, ...]):
+        self.parts = parts  # sorted descending, repeats allowed
+
+    def __repr__(self) -> str:
+        return f"BondPartition(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not BondPartition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def multiplicities(self) -> Counter:
         return Counter(self.parts)
@@ -151,11 +163,24 @@ def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
     return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
 
 
-@dataclass(frozen=True)
 class Orientation:
     """Assignment of a direction to every edge; (tail, head) per sorted edge."""
 
-    directions: tuple[tuple[int, int], ...]
+    __slots__ = ("directions",)
+
+    def __init__(self, directions: tuple[tuple[int, int], ...]):
+        self.directions = directions
+
+    def __repr__(self) -> str:
+        return f"Orientation(directions={self.directions!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Orientation:
+            return NotImplemented
+        return self.directions == other.directions
+
+    def __hash__(self) -> int:
+        return hash((self.directions,))
 
     def sinks(self, g: Graph) -> tuple[int, ...]:
         tails = {t for t, _ in self.directions}

@@ -6,7 +6,6 @@ anywhere; everything is fractions.Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable
@@ -19,9 +18,24 @@ def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class QPolynomial:
-    coeffs: tuple[Fraction, ...]
+    """Compared and hashed by its trimmed coefficient tuple."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.coeffs = coeffs
+
+    def __repr__(self) -> str:
+        return f"QPolynomial(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not QPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, coeffs) -> "QPolynomial":
@@ -44,10 +58,6 @@ class QPolynomial:
     @property
     def linear_coefficient(self) -> Fraction:
         return self.coefficient(1)
-
-    @property
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -84,10 +94,6 @@ class QPolynomial:
 
     def to_json_list(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_json_list(cls, items: list[str]) -> "QPolynomial":
-        return cls.of([Fraction(s) for s in items])
 
 
 ZERO = QPolynomial(())

@@ -5,11 +5,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
-from chromalie import BondPartition, Graph, WeightVector, \
+from chromalie import BondPartition, Graph, GraphError, WeightVector, \
     enumerate_independent_sets, is_connected_sub, new_graph, root_multiplicity
 from chromalie.graphs import weight_box
 from chromalie.multiplicity import moebius
@@ -217,9 +217,33 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def weight_leq(a: WeightVector, b: WeightVector) -> bool:
+    """Reference componentwise order: a_v <= b_v at every vertex."""
+    o = b.as_dict()
+    return all(c <= o.get(v, 0) for v, c in a.counts)
+
+
+def weight_minus(a: WeightVector, b: WeightVector) -> WeightVector:
+    """Reference difference a - b; raises when an entry goes negative."""
+    d = a.as_dict()
+    for v, c in b.counts:
+        d[v] = d.get(v, 0) - c
+    if any(c < 0 for c in d.values()):
+        raise GraphError("weight subtraction went negative")
+    return WeightVector.of(d)
+
+
+def weight_plus(a: WeightVector, b: WeightVector) -> WeightVector:
+    """Reference sum a + b."""
+    d = a.as_dict()
+    for v, c in b.counts:
+        d[v] = d.get(v, 0) + c
+    return WeightVector.of(d)
+
+
 def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
     """Reference bond lattice: the same depth-first search over the connected
-    candidates in descending order, on WeightVector.leq and .minus."""
+    candidates in descending order, on weight_leq and weight_minus."""
     if k.is_zero:
         return [BondPartition(())]
     candidates = sorted((w for w in weight_box(k.as_dict())
@@ -232,9 +256,9 @@ def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
             return
         for idx in range(start, len(candidates)):
             j = candidates[idx]
-            if j.leq(residual):
+            if weight_leq(j, residual):
                 acc.append(j)
-                rec(residual.minus(j), idx, acc)
+                rec(weight_minus(residual, j), idx, acc)
                 acc.pop()
 
     rec(k, 0, [])
@@ -286,3 +310,28 @@ def partition_sum_chromatic(g: Graph, k: WeightVector) -> QPolynomial:
     for length, n in support_partition_counts(g, k).items():
         total = total + falling_binomial(0, length).scale(n)
     return total
+
+
+def polynomial_from_json_list(items: list[str]) -> QPolynomial:
+    """Inverse of QPolynomial.to_json_list."""
+    return QPolynomial.of([Fraction(s) for s in items])
+
+
+def has_integer_coefficients(p: QPolynomial) -> bool:
+    return all(c.denominator == 1 for c in p.coeffs)
+
+
+def lucas_value_closed(ell: int, s: int, t: int) -> int:
+    """Closed-sum form of the two-variable Lucas value <l>_{s,t}; reference
+    for the recurrence in hilbert.lucas_value."""
+    if ell < 0:
+        raise GraphError("ell must be non-negative")
+    if ell == 0:
+        return 2
+    total = Fraction(0)
+    for j in range(ell // 2 + 1):
+        total += (Fraction(ell, ell - j) * comb(ell - j, j)
+                  * Fraction(t) ** j * Fraction(s) ** (ell - 2 * j))
+    if total.denominator != 1:
+        raise GraphError(f"non-integral Lucas value {total}")
+    return int(total)

@@ -165,6 +165,25 @@ def test_hilbert_command(capsys, showcase_file):
     assert {"k": {}, "dim": 1} in entries
 
 
+def test_hilbert_output_pinned(capsys, tmp_path):
+    # Vertex ids 2 and 10 sort differently as strings, which is how the
+    # weight keys of both outputs are ordered.
+    p = tmp_path / "p2.json"
+    p.write_text(graph_to_json(new_graph([2, 10], edges=[(2, 10)])))
+    argv = ["hilbert", "--graph", str(p), "--q", "2", "--max-ht", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == ('{} -> 1\n{"2": 1} -> 2\n{"10": 1, "2": 1} -> 6\n'
+                   '{"2": 2} -> 3\n{"10": 1} -> 2\n{"10": 2} -> 3\n')
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{"entries": [{"dim": 1, "k": {}}, {"dim": 2, "k": {"2": 1}}, '
+        '{"dim": 6, "k": {"10": 1, "2": 1}}, {"dim": 3, "k": {"2": 2}}, '
+        '{"dim": 2, "k": {"10": 1}}, {"dim": 3, "k": {"10": 2}}], '
+        '"q": 2, "schema": "1"}\n')
+
+
 def test_lcs_ranks_command(capsys, tmp_path):
     p = tmp_path / "p3.json"
     p.write_text(graph_to_json(new_graph([1, 2, 3],

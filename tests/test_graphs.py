@@ -10,7 +10,7 @@ from chromalie import (GraphError, WeightVector, complement,
                        is_triangle_free, join_graph, new_graph, weight_box)
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph, small_graphs
+    path_graph, small_graphs, weight_leq, weight_minus, weight_plus
 
 
 graphs = small_graphs()
@@ -107,9 +107,9 @@ def test_weight_vector_basics():
 def test_weight_vector_arithmetic():
     a = WeightVector.of({1: 2, 2: 2})
     b = WeightVector.of({1: 1, 2: 2})
-    assert a.minus(b) == WeightVector.of({1: 1})
-    assert b.plus(WeightVector.of({1: 1})) == a
-    assert b.leq(a) and not a.leq(b)
+    assert weight_minus(a, b) == WeightVector.of({1: 1})
+    assert weight_plus(b, WeightVector.of({1: 1})) == a
+    assert weight_leq(b, a) and not weight_leq(a, b)
     assert a.divide(2) == WeightVector.of({1: 1, 2: 1})
     with pytest.raises(GraphError):
         a.divide(3)
@@ -178,3 +178,35 @@ def test_weight_box_full_support_slice(g):
     box = weight_box(dict.fromkeys(g.vertices, 6), 6)
     assert [w for w in box if len(w.support) == len(g.vertices)] == \
         list(full_support_weights(g, 6))
+
+
+def test_weight_vector_value_semantics():
+    a = WeightVector.of({2: 1, 1: 3})
+    b = WeightVector(((1, 3), (2, 1)))
+    c = WeightVector.of({1: 3, 2: 2})
+    assert repr(a) == "WeightVector(counts=((1, 3), (2, 1)))"
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and a < c and a <= c and c > a and c >= a
+    assert a <= b and a >= b and not a < b and not a > b
+    assert sorted([c, WeightVector(()), a]) == [WeightVector(()), a, c]
+    # Only weight vectors compare with weight vectors.
+    assert WeightVector(()) != () and a != a.counts
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        assert getattr(a, op)(a.counts) is NotImplemented
+    with pytest.raises(TypeError):
+        a < a.counts
+    with pytest.raises(AttributeError):
+        a.extra = 1  # __slots__
+
+
+def test_graph_value_semantics():
+    g = new_graph([1, 2, 3], edges=[(2, 1), (2, 3)])
+    h = new_graph([3, 2, 1], edges=[(3, 2), (1, 2)])
+    assert g is not h and g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != new_graph([1, 2, 3], edges=[(1, 2)])
+    assert g != new_graph([1, 2, 3], kinds={1: "re"},
+                          edges=[(1, 2), (2, 3)])
+    assert g != (g.vertices, g.kinds, g.edges)
+    assert repr(new_graph([1, 2], edges=[(1, 2)])) == (
+        "Graph(vertices=(1, 2), kinds=('im', 'im'), "
+        "edges=frozenset({(1, 2)}))")

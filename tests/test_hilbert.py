@@ -8,12 +8,12 @@ from chromalie import (GraphError, WeightVector, count_compatible_pairs,
                        enumerate_acyclic_orientations,
                        enumerate_weight_words, independent_set_polynomial,
                        lcs_ranks, lcs_ranks_triangle_free, lucas_value,
-                       lucas_value_closed, new_graph,
+                       new_graph,
                        ordered_partition_identity_check, series_table,
                        trace_dimension_oracle, uq_dimension, weight_box)
 
-from helpers import complete_graph, cycle_graph, path_graph, random_graphs, \
-    small_graphs
+from helpers import complete_graph, cycle_graph, lucas_value_closed, \
+    path_graph, random_graphs, small_graphs
 
 
 def test_uq_dimension_q1_is_trace_count():

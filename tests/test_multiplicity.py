@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chromalie import (GraphError, WeightVector, acyclic_counts, bond_lattice,
+from chromalie import (BondPartition, GraphError, Orientation, WeightVector,
+                       acyclic_counts, bond_lattice,
                        chromatic_poly, chromatic_via_bond_lattice,
                        count_unique_sink, enumerate_acyclic_orientations,
                        is_connected_sub, moebius, moebius_invert,
@@ -153,3 +154,17 @@ def test_mult_via_orientations_showcase():
     assert root_multiplicity(g, k) == 2
     for i in (1, 2, 3, 4):
         assert mult_via_orientations(g, k, i) == 2
+
+
+def test_bond_partition_and_orientation_values():
+    k = WeightVector.of({1: 1})
+    a, b = BondPartition((k, k)), BondPartition((WeightVector.of({1: 1}),) * 2)
+    assert a == b and hash(a) == hash(b) and a != BondPartition((k,))
+    assert a != (k, k) and len(a) == 2 and a.multiplicities() == {k: 2}
+    assert repr(BondPartition((k,))) == \
+        "BondPartition(parts=(WeightVector(counts=((1, 1),)),))"
+    o = Orientation(((1, 2),))
+    p = Orientation(((1, 2),))
+    assert o == p and hash(o) == hash(p)
+    assert o != Orientation(((2, 1),)) and o != ((1, 2),)
+    assert repr(o) == "Orientation(directions=((1, 2),))"

@@ -7,6 +7,8 @@ from chromalie import QPolynomial, falling_binomial
 from chromalie.polynomials import ONE, ZERO, scaled_binomial, \
     times_scaled_falling
 
+from helpers import has_integer_coefficients, polynomial_from_json_list
+
 
 def test_trim_and_degree():
     p = QPolynomial.of([1, 2, 0, 0])
@@ -71,16 +73,24 @@ def test_linear_coefficient():
 
 
 def test_integer_coefficient_flag():
-    assert QPolynomial.of([1, 2]).has_integer_coefficients
-    assert not QPolynomial.of([Fraction(1, 2)]).has_integer_coefficients
+    assert has_integer_coefficients(QPolynomial.of([1, 2]))
+    assert not has_integer_coefficients(QPolynomial.of([Fraction(1, 2)]))
 
 
 def test_json_round_trip():
     p = QPolynomial.of([Fraction(1, 2), -3, 0, 5])
-    assert QPolynomial.from_json_list(p.to_json_list()) == p
+    assert polynomial_from_json_list(p.to_json_list()) == p
 
 
 def test_one_is_multiplicative_identity():
     p = QPolynomial.of([3, 0, 2])
     assert p * ONE == p and ONE * p == p
     assert p * ZERO == ZERO
+
+
+def test_value_semantics():
+    p = QPolynomial.of([1, Fraction(1, 2), 0])
+    q = QPolynomial((Fraction(1), Fraction(1, 2)))
+    assert p == q and hash(p) == hash(q) and len({p, q, ZERO}) == 2
+    assert p != QPolynomial.of([1]) and p != p.coeffs and ZERO != ()
+    assert repr(p) == "QPolynomial(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
