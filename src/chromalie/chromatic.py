@@ -15,8 +15,7 @@ from math import comb, factorial
 from operator import sub
 from typing import Callable
 
-from .graphs import Graph, GraphError, WeightVector, \
-    enumerate_independent_sets
+from .graphs import Graph, GraphError, WeightVector
 from .polynomials import ONE, QPolynomial, falling_binomial, \
     times_scaled_falling
 
@@ -27,11 +26,8 @@ def _partition_dp(g: Graph) -> Callable[[tuple[int, ...]], list[int]]:
     to the number of ordered l-tuples of nonempty independent sets whose
     disjoint union realizes it, at list index l.  Its residual memo lives as
     long as the graph's cache entry, so every weight of a box shares it."""
-    parts = []
-    for s in enumerate_independent_sets(g):
-        if s:
-            bits = tuple(int(v in s) for v in g.vertices)
-            parts.append((sum(b << j for j, b in enumerate(bits)), bits))
+    parts = [(s, tuple(s >> j & 1 for j in range(len(g.vertices))))
+             for s, sign in enumerate(g.independent_signs) if s and sign]
     memo: dict[tuple[int, ...], list[int]] = {(0,) * len(g.vertices): [1]}
 
     def counts(residual: tuple[int, ...]) -> list[int]:

@@ -78,20 +78,14 @@ def _frac(x) -> str:
         else str(x.numerator)
 
 
-def cmd_chromatic(args) -> int:
+def cmd_chromatic(args, g: Graph, k: WeightVector | None) -> int:
     from . import chromatic
-    g = load_graph(args.graph)
-    k = parse_weight_spec(args.k, g)
-    check_limits(g, k)
-    form = args.closed_form
-    if form == "auto":
-        form = "general"
-    if form == "complete":
+    if args.closed_form == "complete":
         n = len(k.support)
         if len(g.induced(k.support).edges) != n * (n - 1) // 2:
             raise GraphError("support subgraph is not a clique")
         poly = chromatic.chromatic_complete([k.get(v) for v in k.support])
-    elif form == "tree":
+    elif args.closed_form == "tree":
         poly = chromatic.chromatic_tree(g, k)
     else:
         poly = chromatic.chromatic_poly(g, k)
@@ -106,11 +100,8 @@ def cmd_chromatic(args) -> int:
     return 0
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args, g: Graph, k: WeightVector | None) -> int:
     from . import multiplicity
-    g = load_graph(args.graph)
-    k = parse_weight_spec(args.k, g)
-    check_limits(g, k)
     if k.is_zero:
         raise GraphError("zero weight vector")
     if args.method == "orientations":
@@ -126,11 +117,8 @@ def cmd_mult(args) -> int:
     return 0
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args, g: Graph, k: WeightVector | None) -> int:
     from . import lyndon
-    g = load_graph(args.graph)
-    k = parse_weight_spec(args.k, g)
-    check_limits(g, k)
     report = lyndon.verify_basis(g, k, args.sink) if args.verify else None
     words = report.lyndon if report else lyndon.c_i_set(g, k, args.sink)
     rendered = [lyndon.render_bracket(lyndon.bracket_tree(w)) for w in words]
@@ -154,11 +142,8 @@ def cmd_basis(args) -> int:
     return status
 
 
-def cmd_words(args) -> int:
+def cmd_words(args, g: Graph, k: WeightVector | None) -> int:
     from . import trace
-    g = load_graph(args.graph)
-    k = parse_weight_spec(args.k, g)
-    check_limits(g, k)
     if args.aperiodic_classes is not None:
         forms = trace.b_set(g, k, args.aperiodic_classes)
         rendered = [" | ".join(" ".join(map(str, f)) for f in form)
@@ -174,10 +159,8 @@ def cmd_words(args) -> int:
     return 0
 
 
-def cmd_orientations(args) -> int:
+def cmd_orientations(args, g: Graph, k: WeightVector | None) -> int:
     from . import multiplicity
-    g = load_graph(args.graph)
-    check_limits(g, None)
     count = multiplicity.acyclic_counts(g)[-1]
     payload: dict = {"count": count}
     lines = [f"acyclic orientations: {count}"]
@@ -194,16 +177,12 @@ def cmd_orientations(args) -> int:
     return 0
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args, g: Graph, k: WeightVector | None) -> int:
     from . import hilbert
-    g = load_graph(args.graph)
-    check_limits(g, None)
-    if args.max_ht > MAX_HEIGHT:
-        raise GraphError(f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
     table = hilbert.series_table(g, args.q, args.max_ht)
     # Built lazily, so that only the output that is printed gets built.
-    entries = ({"k": {str(v): c for v, c in k.counts}, "dim": table[k]}
-               for k in sorted(table, key=lambda k: k.counts))
+    entries = ({"k": {str(v): c for v, c in w.counts}, "dim": table[w]}
+               for w in sorted(table, key=lambda w: w.counts))
     if args.json:
         _emit(args, {"q": args.q, "entries": list(entries)}, ())
     else:
@@ -212,10 +191,8 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
-def cmd_lcs_ranks(args) -> int:
+def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> int:
     from . import hilbert
-    g = load_graph(args.graph)
-    check_limits(g, None)
     if args.triangle_free:
         ranks = hilbert.lcs_ranks_triangle_free(g, args.max_k)
     else:
@@ -227,10 +204,8 @@ def cmd_lcs_ranks(args) -> int:
     return 0
 
 
-def cmd_reciprocity(args) -> int:
+def cmd_reciprocity(args, g: Graph, k: WeightVector | None) -> int:
     from . import chromatic, hilbert
-    g = load_graph(args.graph)
-    check_limits(g, None)
     work = args.q * 3 ** len(g.vertices)
     if work > MAX_RECIPROCITY_WORK:
         raise GraphError(f"reciprocity work q*3^n = {work} (n = "
@@ -247,92 +222,86 @@ def cmd_reciprocity(args) -> int:
     return 0 if ok else 1
 
 
-def _verify_failure(name: str, detail: dict) -> dict:
-    return {"check": name, **detail}
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
     from . import chromatic, hilbert, multiplicity, trace
-    g = load_graph(args.graph)
-    check_limits(g, None)
     max_ht = args.max_ht
     if max_ht < 0:
         raise GraphError(f"height bound {max_ht} is negative")
-    if max_ht > MAX_HEIGHT:
-        raise GraphError(f"height bound {max_ht} exceeds {MAX_HEIGHT}")
-    failures: list[dict] = []
-    weights = [k for k in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
-               if not k.is_zero]
+    weights = [w for w in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
+               if not w.is_zero]
 
-    if not args.skip_chromatic:
-        for k in weights:
-            poly = chromatic.chromatic_poly(g, k)
-            for q in range(k.height + 1):
-                if poly.eval(q) != chromatic.coloring_count_oracle(g, k, q):
-                    failures.append(_verify_failure("chromatic-oracle", {
-                        "k": k.as_dict(), "q": q,
-                        "poly": str(poly.eval(q)),
-                        "oracle": chromatic.coloring_count_oracle(g, k, q)}))
+    def mult_ok(w: WeightVector) -> bool:  # real vertices carry at most 1
+        return all(g.kind(v) != "re" or c <= 1 for v, c in w.counts)
 
-    def mult_ok(k: WeightVector) -> bool:
-        return all(g.kind(v) != "re" or k.get(v) <= 1 for v in k.support)
+    def chromatic_oracle(w: WeightVector):
+        poly = chromatic.chromatic_poly(g, w)
+        for q in range(w.height + 1):
+            value = poly.eval(q)
+            oracle = chromatic.coloring_count_oracle(g, w, q)
+            if value != oracle:
+                yield {"k": w.as_dict(), "q": q, "poly": str(value),
+                       "oracle": oracle}
 
-    if not args.skip_mult:
-        for k in weights:
-            if not mult_ok(k) or not is_connected_sub(g, k.support):
-                continue
-            reference = multiplicity.root_multiplicity(g, k)
-            for i in k.support:
-                via_o = multiplicity.mult_via_orientations(g, k, i)
-                via_b = len(trace.b_set(g, k, i))
-                if not (reference == via_o == via_b):
-                    failures.append(_verify_failure("mult-three-routes", {
-                        "k": k.as_dict(), "sink": i,
-                        "moebius": reference, "orientations": via_o,
-                        "aperiodic_words": via_b}))
+    def three_routes(w: WeightVector):
+        reference = multiplicity.root_multiplicity(g, w)
+        for i in w.support:
+            via_o = multiplicity.mult_via_orientations(g, w, i)
+            via_b = len(trace.b_set(g, w, i))
+            if not (reference == via_o == via_b):
+                yield {"k": w.as_dict(), "sink": i, "moebius": reference,
+                       "orientations": via_o, "aperiodic_words": via_b}
 
-    if not args.skip_bond:
-        for k in weights:
-            if not mult_ok(k):
-                continue
-            if multiplicity.chromatic_via_bond_lattice(g, k) != \
-                    chromatic.chromatic_poly(g, k):
-                failures.append(_verify_failure("bond-lattice-identity",
-                                                {"k": k.as_dict()}))
+    def bond_identity(w: WeightVector):
+        if multiplicity.chromatic_via_bond_lattice(g, w) != \
+                chromatic.chromatic_poly(g, w):
+            yield {"k": w.as_dict()}
 
-    if not args.skip_brecursion:
-        for k in weights:
-            for i in k.support:
-                lhs = len(trace.b_tilde(g, k, i))
-                rhs = sum((k.get(i) // ell) *
-                          len(trace.b_set(g, k.divide(ell), i))
-                          for ell in multiplicity.tuple_divisors(k))
-                if lhs != rhs:
-                    failures.append(_verify_failure("b-recursion", {
-                        "k": k.as_dict(), "sink": i,
-                        "b_tilde": lhs, "recursion": rhs}))
+    def b_recursion(w: WeightVector):
+        for i in w.support:
+            lhs = len(trace.b_tilde(g, w, i))
+            rhs = sum((w.get(i) // ell) *
+                      len(trace.b_set(g, w.divide(ell), i))
+                      for ell in multiplicity.tuple_divisors(w))
+            if lhs != rhs:
+                yield {"k": w.as_dict(), "sink": i, "b_tilde": lhs,
+                       "recursion": rhs}
 
-    if g.all_imaginary and not args.skip_tensor:
-        for k in weights:
-            if hilbert.uq_dimension(g, k, 1) != \
-                    hilbert.trace_dimension_oracle(g, k):
-                failures.append(_verify_failure("tensor-dimension",
-                                                {"k": k.as_dict()}))
+    def tensor_dimension(w: WeightVector):
+        if hilbert.uq_dimension(g, w, 1) != \
+                hilbert.trace_dimension_oracle(g, w):
+            yield {"k": w.as_dict()}
 
-    if not args.skip_reciprocity:
-        for q in (1, 2, 3):
-            k = WeightVector.ones(g.vertices)
-            signed = (-1) ** len(g.vertices) * \
-                chromatic.chromatic_poly(g, k).eval(-q)
-            if hilbert.count_compatible_pairs(g, q) != signed:
-                failures.append(_verify_failure("reciprocity", {"q": q}))
+    def reciprocity(q: int):
+        signed = (-1) ** len(g.vertices) * chromatic.chromatic_poly(
+            g, WeightVector.ones(g.vertices)).eval(-q)
+        if hilbert.count_compatible_pairs(g, q) != signed:
+            yield {"q": q}
 
-    if g.all_imaginary and not args.skip_lucas and \
-            is_triangle_free(complement(g)):
-        if hilbert.lcs_ranks(g, max_ht) != \
-                hilbert.lcs_ranks_triangle_free(g, max_ht):
-            failures.append(_verify_failure("lucas-ranks", {}))
+    def lucas_ranks(max_k: int):
+        if hilbert.lcs_ranks(g, max_k) != \
+                hilbert.lcs_ranks_triangle_free(g, max_k):
+            yield {}
 
+    imaginary = g.all_imaginary
+    # Rows: skip flag, check name, inputs, failure details for one input.
+    checks = [
+        (args.skip_chromatic, "chromatic-oracle", weights, chromatic_oracle),
+        (args.skip_mult, "mult-three-routes",
+         (w for w in weights if mult_ok(w) and is_connected_sub(g, w.support)),
+         three_routes),
+        (args.skip_bond, "bond-lattice-identity", filter(mult_ok, weights),
+         bond_identity),
+        (args.skip_brecursion, "b-recursion", weights, b_recursion),
+        (args.skip_tensor or not imaginary, "tensor-dimension", weights,
+         tensor_dimension),
+        (args.skip_reciprocity, "reciprocity", (1, 2, 3), reciprocity),
+        (args.skip_lucas or not imaginary
+         or not is_triangle_free(complement(g)), "lucas-ranks", (max_ht,),
+         lucas_ranks),
+    ]
+    failures = [{"check": name, **detail}
+                for skip, name, inputs, details in checks if not skip
+                for x in inputs for detail in details(x)]
     lines = [json.dumps(f, sort_keys=True) for f in failures] or [
         f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})"]
     _emit(args, {"weight_vectors": len(weights), "max_ht": max_ht,
@@ -423,7 +392,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        g = load_graph(args.graph)
+        k = parse_weight_spec(args.k, g) if "k" in args else None
+        check_limits(g, k)
+        if getattr(args, "max_ht", 0) > MAX_HEIGHT:
+            raise GraphError(
+                f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
+        return args.func(args, g, k)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

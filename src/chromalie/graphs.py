@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -21,30 +21,46 @@ class GraphError(ValueError):
     """Raised on malformed graph or weight-vector input."""
 
 
-class Graph:
-    """An immutable graph, compared and hashed by its three fields.  It keeps
-    a __dict__ for its cached_property tables."""
+class Value:
+    """An immutable value: repr from `_fields`; == and hash from `_key`, a
+    tuple compared only with the same class (hash(_key()) is the dataclass
+    formula).  Single-field classes, which are hashed and compared most,
+    define `_key` directly rather than through the getattr loop."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(Value):
+    """An immutable graph.  It keeps a __dict__ for its cached_property
+    tables, and computes its hash once."""
+
+    _fields = ("vertices", "kinds", "edges")
 
     def __init__(self, vertices: tuple[int, ...], kinds: tuple[str, ...],
                  edges: frozenset[tuple[int, int]]):
         self.vertices = vertices    # strictly increasing
         self.kinds = kinds          # aligned with vertices, "re" or "im"
         self.edges = edges          # each pair stored as (min, max)
-        self._hash = hash((vertices, kinds, edges))
-
-    def __eq__(self, other):
-        if other.__class__ is not Graph:
-            return NotImplemented
-        return self is other or (self.vertices == other.vertices
-                                 and self.kinds == other.kinds
-                                 and self.edges == other.edges)
+        self._hash = hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return (f"Graph(vertices={self.vertices!r}, kinds={self.kinds!r}, "
-                f"edges={self.edges!r})")
 
     def kind(self, v: int) -> str:
         try:
@@ -83,6 +99,22 @@ class Graph:
             return self._adjacency[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
+
+    @cached_property
+    def independent_signs(self) -> list[int]:
+        """sign[S] for every bitmask S over the vertices (bit j is the j-th
+        vertex): (-1)^(|S|+1) if S is an independent set, else 0."""
+        index = {v: j for j, v in enumerate(self.vertices)}
+        adj = [0] * len(self.vertices)
+        for u, v in self.edges:
+            adj[index[u]] |= 1 << index[v]
+            adj[index[v]] |= 1 << index[u]
+        sign = [-1] * (1 << len(self.vertices))
+        for s in range(1, len(sign)):
+            low = s & -s
+            rest = s ^ low
+            sign[s] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
+        return sign
 
     def induced(self, s: Iterable[int]) -> "Graph":
         keep = set(s)
@@ -158,13 +190,11 @@ def is_connected_sub(g: Graph, s: Iterable[int]) -> bool:
 
 
 def enumerate_independent_sets(g: Graph) -> list[frozenset[int]]:
-    """All independent vertex sets including the empty set, size-then-lex order."""
-    out = []
-    for r in range(len(g.vertices) + 1):
-        for combo in combinations(g.vertices, r):
-            if is_independent(g, combo):
-                out.append(frozenset(combo))
-    return out
+    """All independent vertex sets including the empty set, size-then-lex
+    order: the nonzero entries of g.independent_signs."""
+    sets = [tuple(v for j, v in enumerate(g.vertices) if s >> j & 1)
+            for s, sign in enumerate(g.independent_signs) if sign]
+    return [frozenset(s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -172,46 +202,23 @@ def is_triangle_free(g: Graph) -> bool:
                    for a, b, c in combinations(g.vertices, 3))
 
 
-class WeightVector:
+@total_ordering
+class WeightVector(Value):
     """Finitely supported map vertex -> positive count, zeros dropped.
-    Equality, hashing and the four orderings are those of `counts`, and only
+    Equality, hashing and the orderings are those of `counts`, and only
     between weight vectors."""
 
     __slots__ = ("counts",)
+    _fields = __slots__
+    _key = lambda self: (self.counts,)
 
     def __init__(self, counts: tuple[tuple[int, int], ...]):
         self.counts = counts  # (vertex, count), vertex ascending
-
-    def __repr__(self) -> str:
-        return f"WeightVector(counts={self.counts!r})"
-
-    def __hash__(self) -> int:
-        return hash((self.counts,))
-
-    def __eq__(self, other):
-        if other.__class__ is not WeightVector:
-            return NotImplemented
-        return self.counts == other.counts
 
     def __lt__(self, other):
         if other.__class__ is not WeightVector:
             return NotImplemented
         return self.counts < other.counts
-
-    def __le__(self, other):
-        if other.__class__ is not WeightVector:
-            return NotImplemented
-        return self.counts <= other.counts
-
-    def __gt__(self, other):
-        if other.__class__ is not WeightVector:
-            return NotImplemented
-        return self.counts > other.counts
-
-    def __ge__(self, other):
-        if other.__class__ is not WeightVector:
-            return NotImplemented
-        return self.counts >= other.counts
 
     @classmethod
     def of(cls, mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> "WeightVector":

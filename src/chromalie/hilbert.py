@@ -14,11 +14,9 @@ from operator import sub
 
 from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, complement, \
-    enumerate_independent_sets, is_triangle_free, weight_box
-from .multiplicity import acyclic_counts, independent_signs, \
-    moebius_invert
+    is_triangle_free, weight_box
+from .multiplicity import acyclic_counts, moebius_invert
 from .polynomials import QPolynomial
-from .trace import enumerate_weight_words
 
 
 def uq_dimension(g: Graph, k: WeightVector, q: int) -> int:
@@ -35,6 +33,7 @@ def uq_dimension(g: Graph, k: WeightVector, q: int) -> int:
 
 def trace_dimension_oracle(g: Graph, k: WeightVector) -> int:
     """Independent count of weight-k trace words (the q=1 dimension)."""
+    from .trace import enumerate_weight_words  # only verify needs trace
     g.check_imaginary()
     return len(enumerate_weight_words(g, k))
 
@@ -104,35 +103,22 @@ def _convolve_at(f: list[int], a: list[int], s: int) -> int:
 
 def independent_set_polynomial(g: Graph) -> QPolynomial:
     """Counts of independent sets by size, as a polynomial (constant term 1)."""
-    counts: dict[int, int] = {}
-    for s in enumerate_independent_sets(g):
-        counts[len(s)] = counts.get(len(s), 0) + 1
-    degree = max(counts)
-    return QPolynomial.of([counts.get(i, 0) for i in range(degree + 1)])
+    counts = [0] * (len(g.vertices) + 1)
+    for s, sign in enumerate(g.independent_signs):
+        counts[s.bit_count()] += abs(sign)
+    return QPolynomial.of(counts)
 
 
 def _log_series(coeffs: list[Fraction], max_k: int) -> list[Fraction]:
-    """Coefficients 1..max_k of -log(U) for U = 1 + sum coeffs[j] X^j."""
-    u = [Fraction(0)] * (max_k + 1)
-    for j, c in enumerate(coeffs):
-        if 0 < j <= max_k:
-            u[j] = Fraction(c)
-    # -log(1 + u) = sum_{m>=1} (-1)^m u^m / m, truncated at degree max_k
-    result = [Fraction(0)] * (max_k + 1)
-    power = [Fraction(1)] + [Fraction(0)] * max_k  # u^0
-    for m in range(1, max_k + 1):
-        nxt = [Fraction(0)] * (max_k + 1)
-        for a in range(max_k + 1):
-            if power[a] == 0:
-                continue
-            for b in range(1, max_k + 1 - a):
-                if u[b]:
-                    nxt[a + b] += power[a] * u[b]
-        power = nxt
-        sign = Fraction((-1) ** m, m)
-        for d in range(max_k + 1):
-            result[d] += sign * power[d]
-    return result[1:]
+    """Coefficients 1..max_k of L = -log(U), U = 1 + sum coeffs[j] X^j, by
+    U L' = -U': n L_n = -(n u_n + sum over 0 < j < n of j L_j u_(n-j))."""
+    u = [Fraction(c) for c in coeffs[:max_k + 1]]
+    u += [Fraction(0)] * (max_k + 1 - len(u))
+    log = [Fraction(0)] * (max_k + 1)
+    for n in range(1, max_k + 1):
+        log[n] = -(n * u[n] + sum(j * log[j] * u[n - j]
+                                  for j in range(1, n))) / n
+    return log[1:]
 
 
 def lcs_ranks(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
@@ -201,7 +187,7 @@ def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:
     if max_height < 0:
         raise GraphError("height bound must be non-negative")
     n = len(g.vertices)
-    sign = independent_signs(g)
+    sign = g.independent_signs
     bits = {s: tuple(s >> j & 1 for j in range(n))
             for s in range(1, 1 << n) if sign[s]}
     box = sorted(weight_box(dict.fromkeys(g.vertices, max_height), max_height),

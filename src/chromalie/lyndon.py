@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 from operator import le, sub
 
-from .graphs import Graph, GraphError, WeightVector, weight_box
+from .graphs import Graph, GraphError, Value, WeightVector, weight_box
 from .multiplicity import root_multiplicity
 from .trace import (TraceWord, b_tilde, canonicalize, enumerate_weight_words,
                     initial_alphabet)
@@ -29,9 +29,7 @@ def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
     return sorted(word for w in weight_box({**k.as_dict(), i: 1})
-                  if w.get(i) == 1
-                  for word in enumerate_weight_words(g, w)
-                  if initial_alphabet(word, g) == {i: 1})
+                  if w.get(i) == 1 for word in b_tilde(g, w, i))
 
 
 def is_lyndon(seq: LyndonSeq) -> bool:
@@ -153,12 +151,14 @@ def exact_rank(rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-class BasisReport:
-    """What verify_basis found; a record, read but never modified."""
+class BasisReport(Value):
+    """What verify_basis found; a record, read but never modified.  Its key
+    holds a list, so reports compare but do not hash."""
 
     __slots__ = ("lyndon", "multiplicity", "lyndon_count", "counts_match",
                  "rank", "rank_matches", "right_normed_checked",
                  "right_normed_consistent")
+    _fields = __slots__
 
     def __init__(self, lyndon: list[LyndonSeq], multiplicity: int,
                  lyndon_count: int, counts_match: bool, rank: int,
@@ -172,11 +172,6 @@ class BasisReport:
         self.rank_matches = rank_matches
         self.right_normed_checked = right_normed_checked  # only when k_i = 1
         self.right_normed_consistent = right_normed_consistent
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"BasisReport({fields})"
 
 
 def _expr_vector(expr: LieExpr, basis_words: list[TraceWord]) -> list[int]:

@@ -16,9 +16,8 @@ from math import factorial, prod
 from operator import le, sub
 from typing import Callable
 
-from .chromatic import chromatic_poly
-from .graphs import (Graph, GraphError, REAL, WeightVector, is_connected_sub,
-                     join_graph, weight_box)
+from .graphs import (Graph, GraphError, REAL, Value, WeightVector,
+                     is_connected_sub, join_graph, weight_box)
 from .polynomials import QPolynomial, times_scaled_falling
 
 
@@ -74,6 +73,7 @@ def root_multiplicity(g: Graph, k: WeightVector) -> int:
 
     Returns 0 on disconnected support (the root space vanishes there).
     """
+    from .chromatic import chromatic_poly  # orientations needs no chromatic
     if k.is_zero:
         raise GraphError("zero weight vector")
     k.check_support(g)
@@ -84,24 +84,15 @@ def root_multiplicity(g: Graph, k: WeightVector) -> int:
         chromatic_poly(g, k.divide(ell)).linear_coefficient))
 
 
-class BondPartition:
+class BondPartition(Value):
     """Multiset of connected-support weight vectors summing to an ambient one."""
 
     __slots__ = ("parts",)
+    _fields = __slots__
+    _key = lambda self: (self.parts,)
 
     def __init__(self, parts: tuple[WeightVector, ...]):
         self.parts = parts  # sorted descending, repeats allowed
-
-    def __repr__(self) -> str:
-        return f"BondPartition(parts={self.parts!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not BondPartition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     def multiplicities(self) -> Counter:
         return Counter(self.parts)
@@ -163,24 +154,15 @@ def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
     return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
 
 
-class Orientation:
+class Orientation(Value):
     """Assignment of a direction to every edge; (tail, head) per sorted edge."""
 
     __slots__ = ("directions",)
+    _fields = __slots__
+    _key = lambda self: (self.directions,)
 
     def __init__(self, directions: tuple[tuple[int, int], ...]):
         self.directions = directions
-
-    def __repr__(self) -> str:
-        return f"Orientation(directions={self.directions!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not Orientation:
-            return NotImplemented
-        return self.directions == other.directions
-
-    def __hash__(self) -> int:
-        return hash((self.directions,))
 
     def sinks(self, g: Graph) -> tuple[int, ...]:
         tails = {t for t, _ in self.directions}
@@ -223,24 +205,12 @@ def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:
     return out
 
 
-def independent_signs(g: Graph) -> list[int]:
-    """sign[S] for every bitmask S over g.vertices (bit j is the j-th vertex):
-    (-1)^(|S|+1) if S is an independent set, else 0."""
-    n = len(g.vertices)
-    index = {v: j for j, v in enumerate(g.vertices)}
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    sign = [-1] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        sign[s] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
-    return sign
-
-
-def _acyclic_counts(sign: list[int]) -> list[int]:
+def acyclic_counts(g: Graph) -> list[int]:
+    """a[S], the number of acyclic orientations of the subgraph induced by
+    the bitmask S over g.vertices, for every S (Stanley 1973): a[0] = 1 and
+    a[S] = sum over nonempty independent T within S of
+    (-1)^(|T|+1) * a[S - T], inclusion-exclusion over a set T of sinks."""
+    sign = g.independent_signs
     a = [1] * len(sign)
     for s in range(1, len(sign)):
         total = 0
@@ -253,14 +223,6 @@ def _acyclic_counts(sign: list[int]) -> list[int]:
     return a
 
 
-def acyclic_counts(g: Graph) -> list[int]:
-    """a[S], the number of acyclic orientations of the subgraph induced by
-    the bitmask S over g.vertices, for every S (Stanley 1973): a[0] = 1 and
-    a[S] = sum over nonempty independent T within S of
-    (-1)^(|T|+1) * a[S - T], inclusion-exclusion over a set T of sinks."""
-    return _acyclic_counts(independent_signs(g))
-
-
 @lru_cache(maxsize=32)
 def _unique_sink_counts(g: Graph) -> dict[int, int]:
     """Acyclic orientations whose only sink is v, for each vertex v:
@@ -268,8 +230,8 @@ def _unique_sink_counts(g: Graph) -> dict[int, int]:
     because making every vertex of T a sink leaves any acyclic orientation
     on V - T.  The cache serves the sinks and divisors of one weight, which
     share join graphs."""
-    sign = independent_signs(g)
-    a = _acyclic_counts(sign)
+    sign = g.independent_signs
+    a = acyclic_counts(g)
     full = len(a) - 1
     counts = dict.fromkeys(g.vertices, 0)
     for t in range(1, len(a)):

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
+from .graphs import Value
+
 
 def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     out = list(coeffs)
@@ -18,24 +20,15 @@ def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-class QPolynomial:
+class QPolynomial(Value):
     """Compared and hashed by its trimmed coefficient tuple."""
 
     __slots__ = ("coeffs",)
+    _fields = __slots__
+    _key = lambda self: (self.coeffs,)
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
         self.coeffs = coeffs
-
-    def __repr__(self) -> str:
-        return f"QPolynomial(coeffs={self.coeffs!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not QPolynomial:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, coeffs) -> "QPolynomial":

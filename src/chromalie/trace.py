@@ -16,6 +16,7 @@ from .graphs import Graph, GraphError, WeightVector
 
 TraceWord = tuple[int, ...]
 IForm = tuple[TraceWord, ...]
+MAX_WORD_HEIGHT = 12  # enumerate_weight_words refuses taller weights
 
 
 def canonicalize(letters: Sequence[int], g: Graph) -> TraceWord:
@@ -134,16 +135,15 @@ def _class_rep(f: IForm, g: Graph,
 
 
 @lru_cache(maxsize=256)
-def enumerate_weight_words(g: Graph, k: WeightVector,
-                           max_height: int = 12) -> tuple[TraceWord, ...]:
+def enumerate_weight_words(g: Graph, k: WeightVector) -> tuple[TraceWord, ...]:
     """All trace-monoid elements of the given weight, as sorted canonical forms.
 
     Depth-first generation with canonical-prefix pruning: a letter may be
     appended only if the extended word is still its class's canonical form.
     """
     k.check_support(g)
-    if k.height > max_height:
-        raise GraphError(f"height {k.height} exceeds limit {max_height}")
+    if k.height > MAX_WORD_HEIGHT:
+        raise GraphError(f"height {k.height} exceeds limit {MAX_WORD_HEIGHT}")
     out: list[TraceWord] = []
     residual = k.as_dict()
     prefix: list[int] = []

@@ -1,12 +1,14 @@
 import hashlib
+import importlib
 import json
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
 import pytest
 
 from chromalie.cli import main, parse_weight_spec, UsageError
-from chromalie import new_graph, graph_to_json
+from chromalie import QPolynomial, new_graph, graph_to_json, weight_box
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -295,3 +297,90 @@ def test_verify_json(capsys, showcase_file):
     code, out, _ = run(capsys, ["verify", "--graph", showcase_file,
                                 "--max-ht", "2"])
     assert out == "all checks passed (14 weight vectors, height <= 2)\n"
+
+
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+# One row per verify check: its --skip flag, its name, the layer function a
+# fault is put into (module, attribute, wrong version of it), and the first
+# failure record that fault gives on SHOWCASE at height 2.
+VERIFY_FAULTS = [
+    ("chromatic", "chromatic-oracle", "chromatic", "coloring_count_oracle",
+     _plus_one, {"k": {"4": 1}, "q": 0, "poly": "0", "oracle": 1}),
+    ("mult", "mult-three-routes", "multiplicity", "mult_via_orientations",
+     _plus_one, {"k": {"4": 1}, "sink": 4, "moebius": 1, "orientations": 2,
+                 "aperiodic_words": 1}),
+    ("bond", "bond-lattice-identity", "multiplicity",
+     "chromatic_via_bond_lattice",
+     lambda f: lambda *args: QPolynomial.of([7]), {"k": {"4": 1}}),
+    ("brecursion", "b-recursion", "multiplicity", "tuple_divisors",
+     lambda f: lambda *args: [],
+     {"k": {"4": 1}, "sink": 4, "b_tilde": 1, "recursion": 0}),
+    ("tensor", "tensor-dimension", "hilbert", "trace_dimension_oracle",
+     _plus_one, {"k": {"4": 1}}),
+    ("reciprocity", "reciprocity", "hilbert", "count_compatible_pairs",
+     _plus_one, {"q": 1}),
+    ("lucas", "lucas-ranks", "hilbert", "lcs_ranks_triangle_free",
+     lambda f: lambda *args: [], {}),
+]
+
+
+def _put_fault(monkeypatch, module, attr, wrong):
+    owner = importlib.import_module(f"chromalie.{module}")
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+
+
+def _verify_json(capsys, graph, *flags):
+    code, out, _ = run(capsys, ["verify", "--graph", graph, "--max-ht", "2",
+                                "--json", *flags])
+    return code, json.loads(out)["failures"]
+
+
+@pytest.mark.parametrize("flag, name, module, attr, wrong, first",
+                         VERIFY_FAULTS, ids=[row[1] for row in VERIFY_FAULTS])
+def test_verify_failure_records(capsys, monkeypatch, showcase_file, flag,
+                                name, module, attr, wrong, first):
+    _put_fault(monkeypatch, module, attr, wrong)
+    code, failures = _verify_json(capsys, showcase_file)
+    assert code == 1 and failures
+    assert failures[0] == {"check": name, **first}
+    assert all(f.keys() == failures[0].keys() and f["check"] == name
+               for f in failures)
+    assert _verify_json(capsys, showcase_file, f"--skip-{flag}") == (0, [])
+
+
+def test_verify_skip_flags_select_rows(capsys, monkeypatch, showcase_file):
+    for _, _, module, attr, wrong, _ in VERIFY_FAULTS:
+        _put_fault(monkeypatch, module, attr, wrong)
+    names = [row[1] for row in VERIFY_FAULTS]
+    code, failures = _verify_json(capsys, showcase_file)
+    assert code == 1 and sorted({f["check"] for f in failures}) == \
+        sorted(names)
+    for flag, name, *_ in VERIFY_FAULTS:
+        code, failures = _verify_json(capsys, showcase_file, f"--skip-{flag}")
+        assert code == 1
+        assert {f["check"] for f in failures} == set(names) - {name}, flag
+
+
+def test_verify_calls_oracle_once_per_value(capsys, monkeypatch,
+                                            showcase_file):
+    from chromalie import chromatic
+    calls = Counter()
+    oracle = chromatic.coloring_count_oracle
+
+    def wrong_oracle(g, k, q):
+        calls[k, q] += 1
+        return oracle(g, k, q) + 1  # every value fails
+
+    monkeypatch.setattr(chromatic, "coloring_count_oracle", wrong_oracle)
+    skips = [f"--skip-{row[0]}" for row in VERIFY_FAULTS[1:]]
+    code, failures = _verify_json(capsys, showcase_file, *skips)
+    weights = [k for k in weight_box(dict.fromkeys(SHOWCASE.vertices, 2), 2)
+               if not k.is_zero]
+    assert code == 1
+    assert len(failures) == sum(k.height + 1 for k in weights)
+    assert set(calls) == {(k, q) for k in weights
+                          for q in range(k.height + 1)}
+    assert set(calls.values()) == {1}

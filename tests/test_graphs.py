@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -86,6 +86,21 @@ def test_independent_sets_order():
     assert sets[0] == frozenset()
     assert frozenset({1, 3}) in sets
     assert len(sets) == 1 + 3 + 1
+
+
+@given(graphs)
+def test_independent_signs_match_is_independent(g):
+    sign = g.independent_signs
+    assert len(sign) == 2 ** len(g.vertices)
+    for s, value in enumerate(sign):
+        members = [v for j, v in enumerate(g.vertices) if s >> j & 1]
+        expected = (-1) ** (len(members) + 1) \
+            if is_independent(g, members) else 0
+        assert value == expected, (g, members)
+    # the list view keeps the size-then-lex order of the pairwise filter
+    assert enumerate_independent_sets(g) == [
+        frozenset(c) for r in range(len(g.vertices) + 1)
+        for c in combinations(g.vertices, r) if is_independent(g, c)]
 
 
 def test_triangle_free():

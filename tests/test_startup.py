@@ -52,6 +52,22 @@ def test_mult_loads_no_unused_layer(tmp_path):
         assert name not in modules, name
 
 
+@pytest.mark.parametrize("argv, ran, unused", [
+    (["hilbert", "--q", "2", "--max-ht", "2"], "hilbert", "trace"),
+    (["lcs-ranks", "--max-k", "3"], "hilbert", "trace"),
+    (["reciprocity", "--q", "2"], "hilbert", "trace"),
+    (["orientations", "--sink", "1"], "multiplicity", "chromatic"),
+], ids=["hilbert", "lcs-ranks", "reciprocity", "orientations"])
+def test_command_loads_no_unused_layer(tmp_path, argv, ran, unused):
+    graph = tmp_path / "c4.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": v} for v in range(1, 5)],
+        "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
+    modules = loaded_modules([*argv, "--graph", str(graph)])
+    assert f"chromalie.{ran}" in modules  # the request did run
+    assert f"chromalie.{unused}" not in modules
+
+
 def test_help_loads_only_the_front_end():
     modules = loaded_modules(["--help"])
     assert chromalie_modules(modules) == {
