@@ -18,6 +18,11 @@ MAX_HEIGHT = 12
 MAX_VERTICES = 10
 MAX_RECIPROCITY_WORK = 10 ** 7  # q * 3^n subset-convolution steps
 SCHEMA = "1"
+# The verify checks in run order: --skip-<flag> -> name in failure records.
+VERIFY_CHECKS = {"chromatic": "chromatic-oracle", "mult": "mult-three-routes",
+                 "bond": "bond-lattice-identity", "brecursion": "b-recursion",
+                 "tensor": "tensor-dimension", "reciprocity": "reciprocity",
+                 "lucas": "lucas-ranks"}
 
 
 class UsageError(Exception):
@@ -107,11 +112,7 @@ def cmd_mult(args, g: Graph, k: WeightVector | None) -> int:
     if args.method == "orientations":
         sink = args.sink if args.sink is not None else k.support[0]
         value = multiplicity.mult_via_orientations(g, k, sink)
-    elif args.method == "bond":
-        value = multiplicity.moebius_invert(k.gcd(), lambda ell: abs(
-            multiplicity.chromatic_via_bond_lattice(
-                g, k.divide(ell)).linear_coefficient))
-    else:
+    else:  # "bond": the expansion's q^1 terms Moebius-invert to this same sum
         value = multiplicity.root_multiplicity(g, k)
     _emit(args, {"multiplicity": value}, [str(value)])
     return 0
@@ -230,8 +231,8 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
     weights = [w for w in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
                if not w.is_zero]
 
-    def mult_ok(w: WeightVector) -> bool:  # real vertices carry at most 1
-        return all(g.kind(v) != "re" or c <= 1 for v, c in w.counts)
+    def mult_ok(w: WeightVector) -> bool:
+        return multiplicity.real_overweight(g, w) is None
 
     def chromatic_oracle(w: WeightVector):
         poly = chromatic.chromatic_poly(g, w)
@@ -283,25 +284,22 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
             yield {}
 
     imaginary = g.all_imaginary
-    # Rows: skip flag, check name, inputs, failure details for one input.
-    checks = [
-        (args.skip_chromatic, "chromatic-oracle", weights, chromatic_oracle),
-        (args.skip_mult, "mult-three-routes",
-         (w for w in weights if mult_ok(w) and is_connected_sub(g, w.support)),
-         three_routes),
-        (args.skip_bond, "bond-lattice-identity", filter(mult_ok, weights),
-         bond_identity),
-        (args.skip_brecursion, "b-recursion", weights, b_recursion),
-        (args.skip_tensor or not imaginary, "tensor-dimension", weights,
-         tensor_dimension),
-        (args.skip_reciprocity, "reciprocity", (1, 2, 3), reciprocity),
-        (args.skip_lucas or not imaginary
-         or not is_triangle_free(complement(g)), "lucas-ranks", (max_ht,),
-         lucas_ranks),
-    ]
+    # Rows by skip flag: inputs, failure details for one input.
+    rows = {
+        "chromatic": (weights, chromatic_oracle),
+        "mult": ((w for w in weights if mult_ok(w)
+                  and is_connected_sub(g, w.support)), three_routes),
+        "bond": (filter(mult_ok, weights), bond_identity),
+        "brecursion": (weights, b_recursion),
+        "tensor": (weights if imaginary else (), tensor_dimension),
+        "reciprocity": ((1, 2, 3), reciprocity),
+        "lucas": ((max_ht,) if imaginary and is_triangle_free(complement(g))
+                  else (), lucas_ranks),
+    }
     failures = [{"check": name, **detail}
-                for skip, name, inputs, details in checks if not skip
-                for x in inputs for detail in details(x)]
+                for flag, name in VERIFY_CHECKS.items()
+                if not getattr(args, f"skip_{flag}")
+                for x in rows[flag][0] for detail in rows[flag][1](x)]
     lines = [json.dumps(f, sort_keys=True) for f in failures] or [
         f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})"]
     _emit(args, {"weight_vectors": len(weights), "max_ht": max_ht,
@@ -334,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="root multiplicity")
     common(p)
     p.add_argument("--method", default="moebius",
-                   choices=["moebius", "bond", "orientations"])
+                   choices=["moebius", "bond", "orientations"],
+                   help="bond returns the moebius sum, to which the "
+                        "bond-lattice expansion's linear term inverts")
     p.add_argument("--sink", type=int, default=None)
     p.set_defaults(func=cmd_mult)
 
@@ -380,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity cross-check suite")
     common(p, need_k=False)
     p.add_argument("--max-ht", type=int, default=5)
-    for flag in ("chromatic", "mult", "bond", "brecursion", "tensor",
-                 "reciprocity", "lucas"):
+    for flag in VERIFY_CHECKS:
         p.add_argument(f"--skip-{flag}", action="store_true")
     p.set_defaults(func=cmd_verify)
 

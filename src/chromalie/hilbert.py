@@ -9,7 +9,6 @@ at -q (up to sign), which is what Stanley-style reciprocity rests on.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from operator import sub
 
 from .chromatic import chromatic_poly
@@ -40,23 +39,13 @@ def trace_dimension_oracle(g: Graph, k: WeightVector) -> int:
 
 def _ordered_weight_partitions(k: WeightVector, q: int):
     """All ordered q-tuples of (possibly zero) weight vectors summing to k."""
-    support = k.support
-    per_vertex = []
-    for v in support:
-        per_vertex.append([comp for comp in _compositions(k.get(v), q)])
-    for combo in product(*per_vertex):
-        yield tuple(
-            WeightVector.of({v: combo[vi][j] for vi, v in enumerate(support)})
-            for j in range(q))
-
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
+    if q == 1:
+        yield (k,)
         return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for first in weight_box(k.as_dict()):
+        rest = WeightVector.of({v: c - first.get(v) for v, c in k.counts})
+        for tail in _ordered_weight_partitions(rest, q - 1):
+            yield (first,) + tail
 
 
 def ordered_partition_identity_check(g: Graph, k: WeightVector, q: int) -> bool:

@@ -14,8 +14,7 @@ from operator import le, sub
 
 from .graphs import Graph, GraphError, Value, WeightVector, weight_box
 from .multiplicity import root_multiplicity
-from .trace import (TraceWord, b_tilde, canonicalize, enumerate_weight_words,
-                    initial_alphabet)
+from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
 LyndonSeq = tuple[TraceWord, ...]
 # A bracket tree is either a leaf (a trace word, i.e. tuple of ints) or a
@@ -132,13 +131,15 @@ def expand_bracket(tree, g: Graph) -> LieExpr:
     return _commutator(expand_bracket(left, g), expand_bracket(right, g), g)
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free
-    elimination: each row is reduced against the pivot rows kept so far by
-    cross-multiplication and then divided by the gcd of its entries."""
+def exact_rank(rows: list[dict]) -> int:
+    """Rank over the rationals of an integer matrix given as sparse rows
+    {column key: entry}: fraction-free elimination, columns in sorted key
+    order (first-seen order fills rows in); each row is reduced against the
+    pivots so far by cross-multiplication, then divided by its entries' gcd."""
+    column = {key: j for j, key in enumerate(sorted(set().union(*rows)))}
     pivots: list[tuple[int, dict[int, int]]] = []
     for row in rows:
-        r = {j: x for j, x in enumerate(row) if x}
+        r = {column[key]: x for key, x in row.items() if x}
         for col, p in pivots:
             a, b = r.get(col), p[col]
             if a:
@@ -174,10 +175,6 @@ class BasisReport(Value):
         self.right_normed_consistent = right_normed_consistent
 
 
-def _expr_vector(expr: LieExpr, basis_words: list[TraceWord]) -> list[int]:
-    return [expr.get(w, 0) for w in basis_words]
-
-
 def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     """Check that the expanded Lyndon bracketings form a basis of the graded
     component: cardinality equals the root multiplicity and the expansions
@@ -185,10 +182,7 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     lyndon = c_i_set(g, k, i)
     g.check_imaginary()
     mult = root_multiplicity(g, k)
-    basis_words = list(enumerate_weight_words(g, k))
-    rows = [_expr_vector(expand_bracket(bracket_tree(seq), g), basis_words)
-            for seq in lyndon]
-    rank = exact_rank(rows) if rows else 0
+    rank = exact_rank([expand_bracket(bracket_tree(seq), g) for seq in lyndon])
 
     rn_checked = k.get(i) == 1
     rn_consistent = True
@@ -199,7 +193,7 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
             if bool(expr) != right_normed_nonzero(w, g):
                 rn_consistent = False
             if expr:
-                nonzero_words.append(_expr_vector(expr, basis_words))
+                nonzero_words.append(expr)
         if exact_rank(nonzero_words) != len(nonzero_words) or \
                 len(nonzero_words) != mult:
             rn_consistent = False

@@ -60,11 +60,15 @@ def tuple_divisors(k: WeightVector) -> list[int]:
     return [d for d in range(1, g + 1) if g % d == 0]
 
 
+def real_overweight(g: Graph, k: WeightVector) -> int | None:
+    """A real vertex weighted above 1 in k (no route accepts it), or None."""
+    return next((v for v, c in k.counts if g.kind(v) == REAL and c > 1), None)
+
+
 def _check_real_constraint(g: Graph, k: WeightVector) -> None:
-    for v in k.support:
-        if g.kind(v) == REAL and k.get(v) > 1:
-            raise GraphError(
-                f"real vertex {v} carries weight {k.get(v)} > 1")
+    v = real_overweight(g, k)
+    if v is not None:
+        raise GraphError(f"real vertex {v} carries weight {k.get(v)} > 1")
 
 
 @lru_cache(maxsize=4096)
@@ -253,8 +257,8 @@ def count_unique_sink(g: Graph, sink: int) -> int:
 def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     """Multiplicity from unique-sink acyclic orientation counts on join graphs.
 
-    All clones of i are equivalent sinks; we average over them, and tests
-    assert the per-clone counts agree.
+    The sink is the first clone of i: a join-graph automorphism swaps any two
+    clones of i, so all have the same count (tested per clone).
     """
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
@@ -265,11 +269,8 @@ def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     def term(ell: int) -> Fraction:
         sub = k.divide(ell)
         jg, clone_map = join_graph(g, sub)
-        clones = [c for c, (orig, _) in clone_map.items() if orig == i]
-        sink_sum = sum(count_unique_sink(jg, c) for c in clones)
-        weight_factorial = 1
-        for _, c in sub.counts:
-            weight_factorial *= factorial(c)
-        return Fraction(sink_sum, len(clones)) / weight_factorial
+        first = next(c for c, clone in clone_map.items() if clone == (i, 1))
+        return Fraction(count_unique_sink(jg, first),
+                        prod(factorial(c) for _, c in sub.counts))
 
     return moebius_invert(k.gcd(), term)

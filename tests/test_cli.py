@@ -150,6 +150,20 @@ def test_complete_graph_k10_counts(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_mult_bond_prints_moebius_sum(capsys, showcase_file, monkeypatch):
+    from chromalie import multiplicity
+
+    def unused(*args):
+        raise AssertionError("mult --method bond built the bond lattice")
+
+    monkeypatch.setattr(multiplicity, "bond_lattice", unused)
+    monkeypatch.setattr(multiplicity, "chromatic_via_bond_lattice", unused)
+    spec = ["--graph", showcase_file, "--k", "1:2,2:2,3:2,4:2"]
+    _, expected, _ = run(capsys, ["mult", *spec])
+    assert run(capsys, ["mult", *spec, "--method", "bond"]) == \
+        (0, expected, "")
+
+
 def test_mult_bond_k4(capsys, tmp_path):
     p = tmp_path / "k4.json"
     p.write_text(graph_to_json(new_graph(

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from chromalie import (GraphError, WeightVector, count_compatible_pairs,
                        new_graph,
                        ordered_partition_identity_check, series_table,
                        trace_dimension_oracle, uq_dimension, weight_box)
+
+from chromalie.hilbert import _ordered_weight_partitions
 
 from helpers import complete_graph, cycle_graph, lucas_value_closed, \
     path_graph, random_graphs, small_graphs
@@ -37,6 +40,19 @@ def test_convolution_identity():
     k = WeightVector.of({1: 2, 2: 1, 3: 1})
     for q in (2, 3):
         assert ordered_partition_identity_check(g, k, q)
+
+
+def test_ordered_weight_partitions_count_and_sums():
+    for counts in ({}, {1: 1}, {1: 2, 3: 1}, {1: 1, 2: 2, 4: 3}):
+        k = WeightVector.of(counts)
+        for q in (1, 2, 3):
+            parts = list(_ordered_weight_partitions(k, q))
+            assert len(parts) == len(set(parts)) == \
+                prod(comb(c + q - 1, q - 1) for c in counts.values())
+            for decomposition in parts:
+                assert len(decomposition) == q
+                assert {v: sum(p.get(v) for p in decomposition)
+                        for v in counts} == counts
 
 
 def test_compatible_pairs_q1_counts_orientations():

@@ -7,6 +7,7 @@ from chromalie import (GraphError, WeightVector, bracket_tree, c_i_set,
                        new_graph, render_bracket, right_normed_nonzero,
                        root_multiplicity, standard_factorization,
                        verify_basis, x_i_alphabet)
+from chromalie import lyndon, trace
 from chromalie.lyndon import exact_rank
 
 from helpers import complete_graph, cycle_graph, fraction_rank, path_graph
@@ -91,10 +92,14 @@ def test_expand_bracket_matches_right_normed_on_combs():
     assert expand_bracket(tree, g) == expand_right_normed((1, 1, 2), g)
 
 
+def _sparse(rows):
+    return [dict(enumerate(row)) for row in rows]
+
+
 def test_exact_rank():
-    assert exact_rank([[1, 0], [0, 1]]) == 2
-    assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[0, 0]]) == 0
+    assert exact_rank(_sparse([[1, 0], [0, 1]])) == 2
+    assert exact_rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert exact_rank(_sparse([[0, 0]])) == 0
     assert exact_rank([]) == 0
 
 
@@ -117,7 +122,23 @@ def test_exact_rank_matches_fraction_rank():
             a, b = rng.choice(rows), rng.choice(rows)
             rows.append([3 * x - 2 * y for x, y in zip(a, b)])
         rng.shuffle(rows)
-        assert exact_rank(rows) == fraction_rank(rows), rows
+        assert exact_rank(_sparse(rows)) == fraction_rank(rows), rows
+
+
+def test_exact_rank_ignores_key_order():
+    # The same sparse rows with word-like keys, each row's keys inserted in
+    # sorted, reversed and shuffled order, give the same rank.
+    rng = random.Random(9)
+    keys = [(1,), (1, 2), (2,), (2, 1, 3), (3,), (3, 3)]
+    for _ in range(200):
+        rows = [{key: rng.choice((0, 1, -1, 2, -3)) for key in keys}
+                for _ in range(rng.randint(1, 6))]
+        rows.append({key: 2 * x for key, x in rng.choice(rows).items()})
+        expected = fraction_rank([[row[key] for key in keys] for row in rows])
+        for order in (sorted, lambda ks: sorted(ks, reverse=True),
+                      lambda ks: rng.sample(list(ks), len(ks))):
+            reordered = [{key: row[key] for key in order(row)} for row in rows]
+            assert exact_rank(reordered) == expected, rows
 
 
 def test_verify_basis_showcase():
@@ -125,6 +146,25 @@ def test_verify_basis_showcase():
     assert report.multiplicity == 2
     assert report.counts_match and report.rank_matches
     assert report.right_normed_checked and report.right_normed_consistent
+
+
+def test_verify_basis_lists_no_full_weight_words(monkeypatch):
+    # With k_i >= 2 the alphabet and b_tilde stay below k, and the rank rows
+    # are sparse, so the weight-k word list is never built.
+    g, k = cycle_graph(4), WeightVector.of({1: 1, 2: 2, 3: 1, 4: 1})
+    seen = []
+    words = trace.enumerate_weight_words
+
+    def spy(g, w):
+        seen.append(w)
+        return words(g, w)
+
+    monkeypatch.setattr(trace, "enumerate_weight_words", spy)
+    if hasattr(lyndon, "enumerate_weight_words"):
+        monkeypatch.setattr(lyndon, "enumerate_weight_words", spy)
+    report = verify_basis(g, k, 2)
+    assert report.counts_match and report.rank_matches
+    assert seen and k not in seen
 
 
 def test_verify_basis_small_family():

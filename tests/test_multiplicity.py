@@ -10,6 +10,8 @@ from chromalie import (BondPartition, GraphError, Orientation, WeightVector,
                        mult_via_orientations, new_graph,
                        root_multiplicity, tuple_divisors)
 
+from chromalie import multiplicity
+from chromalie.graphs import join_graph, weight_box
 from chromalie.multiplicity import _unique_sink_counts
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
@@ -146,6 +148,39 @@ def test_mult_via_orientations_matches_moebius():
             expected = root_multiplicity(g, k)
             for i in k.support:
                 assert mult_via_orientations(g, k, i) == expected
+
+
+def test_bond_linear_term_inverts_to_root_multiplicity(monkeypatch):
+    # Only the partitions (k/l)^l have a q^1 term, (-1)^(ht-1) mult(k/l)/l,
+    # so Moebius inversion of its size returns whatever root_multiplicity
+    # returns, here an arbitrary non-negative function of the weight.
+    def arbitrary(g, w):
+        return sum(v * c * c for v, c in w.counts) % 5
+
+    monkeypatch.setattr(multiplicity, "root_multiplicity", arbitrary)
+    diamond = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
+    checked = 0
+    for g in (diamond, cycle_graph(4), path_graph(3)):
+        for k in weight_box(dict.fromkeys(g.vertices, 4), 5):
+            if is_connected_sub(g, k.support):
+                assert moebius_invert(k.gcd(), lambda ell: abs(
+                    chromatic_via_bond_lattice(
+                        g, k.divide(ell)).linear_coefficient)) == \
+                    arbitrary(g, k), (g, k)
+                checked += 1
+    assert checked > 100
+
+
+def test_unique_sink_counts_agree_across_clones():
+    # A join-graph automorphism swaps any two clones of a vertex, which is
+    # why mult_via_orientations reads the first clone only.
+    for g in (path_graph(3), cycle_graph(4), complete_graph(3)):
+        for k in full_support_weights(g, 5):
+            jg, clone_map = join_graph(g, k)
+            for i in k.support:
+                counts = {count_unique_sink(jg, c)
+                          for c, (orig, _) in clone_map.items() if orig == i}
+                assert len(counts) == 1, (g, k, i)
 
 
 def test_mult_via_orientations_showcase():
