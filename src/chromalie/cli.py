@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Iterable
 
 # Each command imports the layer modules it calls, so that a request loads
@@ -231,9 +232,6 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
     weights = [w for w in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
                if not w.is_zero]
 
-    def mult_ok(w: WeightVector) -> bool:
-        return multiplicity.real_overweight(g, w) is None
-
     def chromatic_oracle(w: WeightVector):
         poly = chromatic.chromatic_poly(g, w)
         for q in range(w.height + 1):
@@ -243,25 +241,29 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
                 yield {"k": w.as_dict(), "q": q, "poly": str(value),
                        "oracle": oracle}
 
+    @lru_cache(maxsize=None)  # this call's mult and b-recursion rows
+    def aperiodic_count(w: WeightVector, i: int) -> int:
+        return len(trace.b_set(g, w, i))
+
     def three_routes(w: WeightVector):
         reference = multiplicity.root_multiplicity(g, w)
         for i in w.support:
             via_o = multiplicity.mult_via_orientations(g, w, i)
-            via_b = len(trace.b_set(g, w, i))
+            via_b = aperiodic_count(w, i)
             if not (reference == via_o == via_b):
                 yield {"k": w.as_dict(), "sink": i, "moebius": reference,
                        "orientations": via_o, "aperiodic_words": via_b}
 
-    def bond_identity(w: WeightVector):
-        if multiplicity.chromatic_via_bond_lattice(g, w) != \
-                chromatic.chromatic_poly(g, w):
-            yield {"k": w.as_dict()}
+    def bond_identity(max_ht: int):  # one table for the box
+        box = dict.fromkeys(g.vertices, max_ht)
+        for w, poly in multiplicity.bond_table(g, box, max_ht).items():
+            if w.counts and poly != chromatic.chromatic_poly(g, w):
+                yield {"k": w.as_dict()}
 
     def b_recursion(w: WeightVector):
         for i in w.support:
             lhs = len(trace.b_tilde(g, w, i))
-            rhs = sum((w.get(i) // ell) *
-                      len(trace.b_set(g, w.divide(ell), i))
+            rhs = sum((w.get(i) // ell) * aperiodic_count(w.divide(ell), i)
                       for ell in multiplicity.tuple_divisors(w))
             if lhs != rhs:
                 yield {"k": w.as_dict(), "sink": i, "b_tilde": lhs,
@@ -287,14 +289,14 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
     # Rows by skip flag: inputs, failure details for one input.
     rows = {
         "chromatic": (weights, chromatic_oracle),
-        "mult": ((w for w in weights if mult_ok(w)
-                  and is_connected_sub(g, w.support)), three_routes),
-        "bond": (filter(mult_ok, weights), bond_identity),
+        "mult": ((w for w in weights if multiplicity.real_overweight(g, w)
+                  is None and is_connected_sub(g, w.support)), three_routes),
+        "bond": ((max_ht,), bond_identity),
         "brecursion": (weights, b_recursion),
         "tensor": (weights if imaginary else (), tensor_dimension),
         "reciprocity": ((1, 2, 3), reciprocity),
-        "lucas": ((max_ht,) if imaginary and is_triangle_free(complement(g))
-                  else (), lucas_ranks),
+        "lucas": ((max_ht,) if max_ht >= 1 and imaginary
+                  and is_triangle_free(complement(g)) else (), lucas_ranks),
     }
     failures = [{"check": name, **detail}
                 for flag, name in VERIFY_CHECKS.items()

@@ -13,8 +13,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from operator import le, sub
-from typing import Callable
+from operator import add, le, sub
+from typing import Callable, Mapping
 
 from .graphs import (Graph, GraphError, REAL, Value, WeightVector,
                      is_connected_sub, join_graph, weight_box)
@@ -132,30 +132,44 @@ def bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
     return results
 
 
+def bond_table(g: Graph, bounds: Mapping[int, int],
+               max_height: int | None = None) -> dict[WeightVector, QPolynomial]:
+    """pi_w for each w of the box that real_overweight accepts, by the knapsack
+    sum (-1)^ht(w) pi_w x^w = prod over connected alpha of (1 - x^alpha)^
+    (q*mult(alpha)) (Cartier & Foata 1969), tallest state first, times ht!."""
+    box = [w for w in weight_box(bounds, max_height)
+           if real_overweight(g, w) is None]
+    radix = 2 * max(bounds.values(), default=0) + 1  # box sums never carry
+    place = {v: radix ** j for j, v in enumerate(sorted(bounds))}
+    codes = [sum(c * place[v] for v, c in w.counts) for w in box]
+    height = {code: w.height for code, w in zip(codes, box)}
+    fact = [factorial(h) for h in range(max(height.values(), default=0) + 1)]
+    by_height = [[m for m in codes if height[m] == h] for h in range(len(fact))]
+    table = {0: [1]}
+    for part, step in zip(box, codes):
+        if not is_connected_sub(g, part.support) or \
+                not (mult := root_multiplicity(g, part)):
+            continue
+        for h in range(len(fact) - 1 - part.height, -1, -1):
+            for m in filter(table.__contains__, by_height[h]):
+                coeffs, r, t = table[m], 1, m + step
+                while t in height:  # (-1)^r (h + r*ht alpha)! / (h! r!)
+                    scale = (-1) ** r * fact[height[t]] // (fact[h] * fact[r])
+                    term = times_scaled_falling(coeffs, mult, r)
+                    acc = table.setdefault(t, [0] * (height[t] + 1))
+                    acc[:len(term)] = map(add, acc, [scale * c for c in term])
+                    r, t = r + 1, t + step
+    return {w: QPolynomial.of([Fraction((-1) ** w.height * c, fact[w.height])
+                               for c in table.get(code, ())])
+            for w, code in zip(box, codes)}
+
+
 def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
     """Chromatic polynomial rebuilt from root multiplicities: a signed sum over
-    the weighted bond lattice of products C(q*mult(part sum), part repetition).
-    Each signature (length, sorted (mult, repetition) pairs) is multiplied
-    out once, in integers over ht(k)!, which every prod(repetition!) divides."""
+    the weighted bond lattice of products C(q*mult(part), part repetition)."""
     k.check_support(g)
     _check_real_constraint(g, k)
-    if k.is_zero:
-        return QPolynomial.of([1])
-    ht = k.height
-    signatures: Counter = Counter()
-    for partition in bond_lattice(g, k):
-        pairs = sorted((root_multiplicity(g, part), rep)
-                       for part, rep in partition.multiplicities().items())
-        signatures[len(partition), tuple(pairs)] += 1
-    total = [0] * (ht + 1)
-    for (length, pairs), count in signatures.items():
-        coeffs = [(-1) ** (ht + length) * count * factorial(ht)
-                  // prod(factorial(rep) for _, rep in pairs)]
-        for m, rep in pairs:
-            coeffs = times_scaled_falling(coeffs, m, rep)
-        for power, c in enumerate(coeffs):
-            total[power] += c
-    return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
+    return bond_table(g, k.as_dict())[k]
 
 
 class Orientation(Value):
@@ -227,13 +241,10 @@ def acyclic_counts(g: Graph) -> list[int]:
     return a
 
 
-@lru_cache(maxsize=32)
 def _unique_sink_counts(g: Graph) -> dict[int, int]:
-    """Acyclic orientations whose only sink is v, for each vertex v:
-    u_v = sum over independent T containing v of (-1)^(|T|-1) * a[V - T],
-    because making every vertex of T a sink leaves any acyclic orientation
-    on V - T.  The cache serves the sinks and divisors of one weight, which
-    share join graphs."""
+    """Acyclic orientations whose only sink is v, for each vertex v: u_v =
+    sum over independent T containing v of (-1)^(|T|-1) * a[V - T], because
+    making every vertex of T a sink leaves any acyclic orientation on V - T."""
     sign = g.independent_signs
     a = acyclic_counts(g)
     full = len(a) - 1
@@ -254,6 +265,14 @@ def count_unique_sink(g: Graph, sink: int) -> int:
     return _unique_sink_counts(g)[sink]
 
 
+@lru_cache(maxsize=4096)
+def _first_clone_counts(g: Graph, k: WeightVector) -> dict[int, int]:
+    """Unique-sink counts of join_graph(g, k) at each vertex's first clone."""
+    jg, clone_map = join_graph(g, k)
+    counts = _unique_sink_counts(jg)
+    return {v: counts[c] for c, (v, copy) in clone_map.items() if copy == 1}
+
+
 def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     """Multiplicity from unique-sink acyclic orientation counts on join graphs.
 
@@ -266,11 +285,6 @@ def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     if not is_connected_sub(g, k.support):
         return 0
 
-    def term(ell: int) -> Fraction:
-        sub = k.divide(ell)
-        jg, clone_map = join_graph(g, sub)
-        first = next(c for c, clone in clone_map.items() if clone == (i, 1))
-        return Fraction(count_unique_sink(jg, first),
-                        prod(factorial(c) for _, c in sub.counts))
-
-    return moebius_invert(k.gcd(), term)
+    return moebius_invert(k.gcd(), lambda ell: Fraction(
+        _first_clone_counts(g, k.divide(ell))[i],
+        prod(factorial(c // ell) for _, c in k.counts)))

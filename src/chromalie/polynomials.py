@@ -7,7 +7,7 @@ anywhere; everything is fractions.Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from .graphs import Value
@@ -79,11 +79,13 @@ class QPolynomial(Value):
         return QPolynomial(tuple(a * c for a in self.coeffs))
 
     def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
+        a, b = Fraction(x).as_integer_ratio()
+        d = lcm(*(c.denominator for c in self.coeffs))
+        acc, power = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c.numerator * (d // c.denominator) * power
+            power *= b
+        return Fraction(acc * b, d * power)
 
     def to_json_list(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]

@@ -8,7 +8,8 @@ from math import factorial
 import pytest
 
 from chromalie.cli import main, parse_weight_spec, UsageError
-from chromalie import QPolynomial, new_graph, graph_to_json, weight_box
+from chromalie import QPolynomial, new_graph, graph_to_json, weight_box, \
+    is_connected_sub
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -158,6 +159,7 @@ def test_mult_bond_prints_moebius_sum(capsys, showcase_file, monkeypatch):
 
     monkeypatch.setattr(multiplicity, "bond_lattice", unused)
     monkeypatch.setattr(multiplicity, "chromatic_via_bond_lattice", unused)
+    monkeypatch.setattr(multiplicity, "bond_table", unused)
     spec = ["--graph", showcase_file, "--k", "1:2,2:2,3:2,4:2"]
     _, expected, _ = run(capsys, ["mult", *spec])
     assert run(capsys, ["mult", *spec, "--method", "bond"]) == \
@@ -326,9 +328,9 @@ VERIFY_FAULTS = [
     ("mult", "mult-three-routes", "multiplicity", "mult_via_orientations",
      _plus_one, {"k": {"4": 1}, "sink": 4, "moebius": 1, "orientations": 2,
                  "aperiodic_words": 1}),
-    ("bond", "bond-lattice-identity", "multiplicity",
-     "chromatic_via_bond_lattice",
-     lambda f: lambda *args: QPolynomial.of([7]), {"k": {"4": 1}}),
+    ("bond", "bond-lattice-identity", "multiplicity", "bond_table",
+     lambda f: lambda *args: dict.fromkeys(f(*args), QPolynomial.of([7])),
+     {"k": {"4": 1}}),
     ("brecursion", "b-recursion", "multiplicity", "tuple_divisors",
      lambda f: lambda *args: [],
      {"k": {"4": 1}, "sink": 4, "b_tilde": 1, "recursion": 0}),
@@ -398,3 +400,54 @@ def test_verify_calls_oracle_once_per_value(capsys, monkeypatch,
     assert set(calls) == {(k, q) for k in weights
                           for q in range(k.height + 1)}
     assert set(calls.values()) == {1}
+
+
+def test_verify_skip_bond_builds_no_table(capsys, monkeypatch, showcase_file):
+    from chromalie import multiplicity
+
+    def unused(*args):
+        raise AssertionError("verify --skip-bond built the bond table")
+
+    monkeypatch.setattr(multiplicity, "bond_table", unused)
+    assert run(capsys, ["verify", "--graph", showcase_file, "--max-ht", "3",
+                        "--skip-bond"]) == \
+        (0, "all checks passed (34 weight vectors, height <= 3)\n", "")
+
+
+def test_verify_counts_each_value_once(capsys, monkeypatch, showcase_file):
+    # aperiodic words once per (weight, sink) across the mult and b-recursion
+    # rows; one join graph per sub-weight across sinks and divisors
+    from chromalie import multiplicity, trace
+    b_calls, join_calls = Counter(), Counter()
+    b_set, join_graph = trace.b_set, multiplicity.join_graph
+
+    def counted_b_set(g, k, i):
+        b_calls[k, i] += 1
+        return b_set(g, k, i)
+
+    def counted_join_graph(g, k):
+        join_calls[k] += 1
+        return join_graph(g, k)
+
+    monkeypatch.setattr(trace, "b_set", counted_b_set)
+    monkeypatch.setattr(multiplicity, "join_graph", counted_join_graph)
+    multiplicity._first_clone_counts.cache_clear()
+    code, out, _ = run(capsys, ["verify", "--graph", showcase_file,
+                                "--max-ht", "4"])
+    assert code == 0 and "all checks passed" in out
+    connected = {k for k in weight_box(dict.fromkeys(SHOWCASE.vertices, 4), 4)
+                 if is_connected_sub(SHOWCASE, k.support)}
+    assert set(join_calls) == connected
+    assert set(join_calls.values()) == {1}
+    assert {(k, i) for k in connected for i in k.support} <= set(b_calls)
+    assert set(b_calls.values()) == {1}
+
+
+def test_verify_height_zero(capsys, tmp_path):
+    # C4 is all imaginary with a triangle-free complement, so the Lucas row
+    # would run, on no weight at all
+    p = tmp_path / "c4.json"
+    p.write_text(graph_to_json(new_graph(
+        [1, 2, 3, 4], edges=[(1, 2), (2, 3), (3, 4), (1, 4)])))
+    assert run(capsys, ["verify", "--graph", str(p), "--max-ht", "0"]) == \
+        (0, "all checks passed (0 weight vectors, height <= 0)\n", "")

@@ -103,6 +103,25 @@ def test_bond_lattice_matches_reference():
                     "disconnected"}
 
 
+def test_bond_table_matches_reference_on_every_weight():
+    # the knapsack over the box against the partition-by-partition sum over
+    # the reference lattice; weights with a real vertex above 1 are skipped
+    rng = random.Random(8)
+    seen = set()
+    for g in random_graphs(seed=8, count=30, max_n=4):
+        real = {v for v in g.vertices if rng.random() < 0.3}
+        g = new_graph(g.vertices, dict.fromkeys(real, "re"), g.edges)
+        bounds = {v: rng.randint(1, 3) for v in g.vertices}
+        max_ht = rng.randint(2, 5)
+        table = multiplicity.bond_table(g, bounds, max_ht)
+        assert list(table) == [k for k in weight_box(bounds, max_ht)
+                               if multiplicity.real_overweight(g, k) is None]
+        for k, poly in table.items():
+            assert poly == partition_product_expansion(g, k), (g, k)
+        seen.add("real" if real else "imaginary")
+    assert seen == {"real", "imaginary"}
+
+
 def test_acyclic_orientation_counts():
     # trees: 2^(edges); cycles: 2^n - 2; complete: n!
     assert len(enumerate_acyclic_orientations(path_graph(4))) == 8

@@ -33,6 +33,25 @@ def test_eval_horner():
     assert p.eval(Fraction(1, 2)) == Fraction(9, 4)
 
 
+@given(st.lists(st.fractions(max_denominator=40), max_size=8),
+       st.one_of(st.integers(-30, 30), st.fractions(max_denominator=20)))
+def test_eval_matches_fraction_horner(coeffs, x):
+    p = QPolynomial.of(coeffs)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * Fraction(x) + c
+    value = p.eval(x)
+    assert value == acc and type(value) is Fraction
+    assert ZERO.eval(x) == 0 and type(ZERO.eval(x)) is Fraction
+
+
+def test_eval_exact_at_negative_and_rational_points():
+    p = QPolynomial.of([Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)])
+    assert p.eval(-2) == Fraction(1, 3) + Fraction(5, 3) + 7
+    assert p.eval(Fraction(-3, 2)) == \
+        Fraction(1, 3) + Fraction(5, 4) + Fraction(63, 16)
+
+
 @given(st.integers(-20, 20), st.integers(0, 6), st.integers(-5, 5))
 def test_falling_binomial_values(q, k, offset):
     assert falling_binomial(offset, k).eval(q) == \
