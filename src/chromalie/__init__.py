@@ -10,8 +10,8 @@ from importlib import import_module
 _EXPORTS = {
     "graphs": ("Graph", "GraphError", "IMAGINARY", "REAL", "WeightVector",
                "complement", "enumerate_independent_sets", "graph_from_json",
-               "graph_to_json", "is_connected_sub", "is_independent",
-               "is_triangle_free", "join_graph", "new_graph", "weight_box"),
+               "is_connected_sub", "is_triangle_free", "join_graph",
+               "new_graph", "weight_box"),
     "polynomials": ("QPolynomial", "falling_binomial"),
     "chromatic": ("chromatic_complete", "chromatic_poly", "chromatic_tree",
                   "coloring_count_oracle", "ordered_partition_counts"),
@@ -21,7 +21,7 @@ _EXPORTS = {
                      "moebius", "moebius_invert", "mult_via_orientations",
                      "root_multiplicity", "tuple_divisors"),
     "trace": ("b_set", "b_tilde", "canonicalize", "enumerate_weight_words",
-              "i_form", "initial_alphabet", "initial_alphabet_set"),
+              "i_form", "initial_alphabet"),
     "lyndon": ("bracket_tree", "c_i_set", "expand_bracket",
                "expand_right_normed", "is_lyndon", "render_bracket",
                "right_normed_nonzero", "standard_factorization",

@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eval", type=int, default=None, metavar="Q")
     p.add_argument("--closed-form", default="auto",
-                   choices=["auto", "complete", "tree", "general"])
+                   choices=["auto", "complete", "tree", "general"],
+                   help="complete and tree use the closed form for a clique "
+                        "or tree support; auto detects nothing and, like "
+                        "general, runs the ordered-partition DP")
     p.set_defaults(func=cmd_chromatic)
 
     p = sub.add_parser("mult", help="root multiplicity")

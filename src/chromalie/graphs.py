@@ -161,14 +161,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.vertices, g.kinds, edges)
 
 
-def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    s = list(s)
-    for v in s:
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
-    return not any(g.adjacent(u, v) for u, v in combinations(s, 2))
-
-
 def is_connected_sub(g: Graph, s: Iterable[int]) -> bool:
     """Connectivity of the induced subgraph; empty set counts as disconnected."""
     s = set(s)
@@ -285,6 +277,18 @@ def weight_box(bounds: Mapping[int, int],
     return rec(0, cap) if cap >= 0 else iter(())
 
 
+def coded_box(bounds: Mapping[int, int], max_height: int | None = None
+              ) -> tuple[dict[int, int], list[tuple[WeightVector, int]]]:
+    """The weights of weight_box(bounds, max_height), in its order, each with
+    the integer code sum of w_v * place[v], place[v] = radix^j at the j-th
+    vertex.  radix = 2 * max bound + 1, so no sum or difference of two box
+    weights carries: codes add and subtract as the weights do."""
+    radix = 2 * max(bounds.values(), default=0) + 1
+    place = {v: radix ** j for j, v in enumerate(sorted(bounds))}
+    return place, [(w, sum(c * place[v] for v, c in w.counts))
+                   for w in weight_box(bounds, max_height)]
+
+
 def join_graph(g: Graph, k: WeightVector) -> tuple[Graph, dict[int, tuple[int, int]]]:
     """Replace vertex j by a clique of k_j clones; cliques of adjacent originals
     fully joined.  Vertices outside support(k) are dropped.
@@ -345,10 +349,3 @@ def graph_from_json(text: str) -> Graph:
             raise GraphError(f"edge {e!r} must be a pair of integer vertex ids")
         edges.append((e[0], e[1]))
     return new_graph(ids, kinds, edges)
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps({
-        "vertices": [{"id": v, "kind": g.kind(v)} for v in g.vertices],
-        "edges": [list(e) for e in sorted(g.edges)],
-    })

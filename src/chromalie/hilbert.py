@@ -9,10 +9,9 @@ at -q (up to sign), which is what Stanley-style reciprocity rests on.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
 
 from .chromatic import chromatic_poly
-from .graphs import Graph, GraphError, WeightVector, complement, \
+from .graphs import Graph, GraphError, WeightVector, coded_box, complement, \
     is_triangle_free, weight_box
 from .multiplicity import acyclic_counts, moebius_invert
 from .polynomials import QPolynomial
@@ -168,35 +167,34 @@ def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:
     the integer recurrence
     ht(m) F_m = sum over nonempty independent S within supp(m) of
     (-1)^(|S|+1) (ht(m) + (q-1)|S|) F_(m-S),
-    solved over the box in order of height on tuples aligned to g.vertices.
+    solved over the box on the codes of graphs.coded_box.
     """
     g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
     if max_height < 0:
         raise GraphError("height bound must be non-negative")
-    n = len(g.vertices)
     sign = g.independent_signs
-    bits = {s: tuple(s >> j & 1 for j in range(n))
-            for s in range(1, 1 << n) if sign[s]}
-    box = sorted(weight_box(dict.fromkeys(g.vertices, max_height), max_height),
-                 key=lambda k: k.height)
-    dims: dict[tuple[int, ...], int] = {}
+    place, box = coded_box(dict.fromkeys(g.vertices, max_height), max_height)
+    bit = {v: 1 << j for j, v in enumerate(g.vertices)}
+    step = {s: sum(place[v] for v in g.vertices if s & bit[v])
+            for s in range(1, len(sign)) if sign[s]}
+    # The box is in lexicographic order of the counts aligned to g.vertices,
+    # so m - S, below m in every count, is solved before m.
+    dims: dict[int, int] = {}
     table: dict[WeightVector, int] = {}
-    for k in box:
-        weights = k.as_dict()
-        m = tuple(weights.get(v, 0) for v in g.vertices)
+    for k, m in box:
         ht = k.height
         if not ht:
             dims[m] = table[k] = 1
             continue
         total = 0
-        alive = sum(1 << j for j, c in enumerate(m) if c)
+        alive = sum(bit[v] for v, _ in k.counts)
         s = alive
         while s:
             if sign[s]:
                 total += sign[s] * (ht + (q - 1) * s.bit_count()) * \
-                    dims[tuple(map(sub, m, bits[s]))]
+                    dims[m - step[s]]
             s = (s - 1) & alive
         value, rest = divmod(total, ht)
         if rest or value < 0:

@@ -9,14 +9,13 @@ A third combinatorial route (aperiodic trace words) lives in trace.py.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import add, le, sub
 from typing import Callable, Mapping
 
-from .graphs import (Graph, GraphError, REAL, Value, WeightVector,
+from .graphs import (Graph, GraphError, REAL, Value, WeightVector, coded_box,
                      is_connected_sub, join_graph, weight_box)
 from .polynomials import QPolynomial, times_scaled_falling
 
@@ -98,12 +97,6 @@ class BondPartition(Value):
     def __init__(self, parts: tuple[WeightVector, ...]):
         self.parts = parts  # sorted descending, repeats allowed
 
-    def multiplicities(self) -> Counter:
-        return Counter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 def bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
     """All multisets of connected-support weight vectors that sum to k.
@@ -137,16 +130,13 @@ def bond_table(g: Graph, bounds: Mapping[int, int],
     """pi_w for each w of the box that real_overweight accepts, by the knapsack
     sum (-1)^ht(w) pi_w x^w = prod over connected alpha of (1 - x^alpha)^
     (q*mult(alpha)) (Cartier & Foata 1969), tallest state first, times ht!."""
-    box = [w for w in weight_box(bounds, max_height)
+    box = [(w, code) for w, code in coded_box(bounds, max_height)[1]
            if real_overweight(g, w) is None]
-    radix = 2 * max(bounds.values(), default=0) + 1  # box sums never carry
-    place = {v: radix ** j for j, v in enumerate(sorted(bounds))}
-    codes = [sum(c * place[v] for v, c in w.counts) for w in box]
-    height = {code: w.height for code, w in zip(codes, box)}
+    height = {code: w.height for w, code in box}
     fact = [factorial(h) for h in range(max(height.values(), default=0) + 1)]
-    by_height = [[m for m in codes if height[m] == h] for h in range(len(fact))]
+    by_height = [[m for m in height if height[m] == h] for h in range(len(fact))]
     table = {0: [1]}
-    for part, step in zip(box, codes):
+    for part, step in box:
         if not is_connected_sub(g, part.support) or \
                 not (mult := root_multiplicity(g, part)):
             continue
@@ -161,7 +151,7 @@ def bond_table(g: Graph, bounds: Mapping[int, int],
                     r, t = r + 1, t + step
     return {w: QPolynomial.of([Fraction((-1) ** w.height * c, fact[w.height])
                                for c in table.get(code, ())])
-            for w, code in zip(box, codes)}
+            for w, code in box}
 
 
 def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
@@ -181,10 +171,6 @@ class Orientation(Value):
 
     def __init__(self, directions: tuple[tuple[int, int], ...]):
         self.directions = directions
-
-    def sinks(self, g: Graph) -> tuple[int, ...]:
-        tails = {t for t, _ in self.directions}
-        return tuple(v for v in g.vertices if v not in tails)
 
 
 def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:

@@ -57,12 +57,6 @@ class QPolynomial(Value):
         return QPolynomial(_trim(
             self.coefficient(i) + other.coefficient(i) for i in range(n)))
 
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if self.is_zero or other.is_zero:
             return ZERO

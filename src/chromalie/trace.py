@@ -74,10 +74,6 @@ def initial_alphabet(w: Sequence[int], g: Graph) -> Counter:
     return ia
 
 
-def initial_alphabet_set(w: Sequence[int], g: Graph) -> frozenset[int]:
-    return frozenset(initial_alphabet(w, g))
-
-
 def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     """Unique factorization w = w_1 ... w_m (m = number of i's) with every
     factor containing one i and having initial alphabet exactly {i}.
@@ -85,7 +81,7 @@ def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     The last factor is maximal: it consists of every position not forced
     (through the dependence order) to precede the second-to-last i.
     """
-    if initial_alphabet_set(w, g) != frozenset({i}):
+    if set(initial_alphabet(w, g)) != {i}:
         raise GraphError(f"word does not have initial alphabet {{{i}}}")
     return _i_form(w, i, g)
 

@@ -1,5 +1,6 @@
 """Shared graph families and independent oracles for the test suite."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +10,9 @@ from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
-from chromalie import BondPartition, Graph, GraphError, WeightVector, \
-    enumerate_independent_sets, is_connected_sub, new_graph, root_multiplicity
+from chromalie import BondPartition, Graph, GraphError, Orientation, \
+    WeightVector, enumerate_independent_sets, initial_alphabet, \
+    is_connected_sub, new_graph, root_multiplicity
 from chromalie.graphs import weight_box
 from chromalie.multiplicity import moebius
 from chromalie.polynomials import QPolynomial, falling_binomial, \
@@ -28,6 +30,23 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return new_graph(range(1, n + 1), edges=combinations(range(1, n + 1), 2))
+
+
+def graph_to_json(g: Graph) -> str:
+    """The graph in the JSON format that graph_from_json reads."""
+    return json.dumps({
+        "vertices": [{"id": v, "kind": g.kind(v)} for v in g.vertices],
+        "edges": [list(e) for e in sorted(g.edges)],
+    })
+
+
+def is_independent(g: Graph, s) -> bool:
+    """Reference independence test: no two members of s are adjacent."""
+    s = list(s)
+    for v in s:
+        if not g.has_vertex(v):
+            raise GraphError(f"unknown vertex {v}")
+    return not any(g.adjacent(u, v) for u, v in combinations(s, 2))
 
 
 def _canonical_edges(n: int, edges: frozenset) -> tuple:
@@ -194,6 +213,17 @@ def strip_initial_alphabet(w, g: Graph) -> Counter:
     return ia
 
 
+def initial_alphabet_set(w, g: Graph) -> frozenset[int]:
+    """The letters of the initial alphabet of w, without multiplicities."""
+    return frozenset(initial_alphabet(w, g))
+
+
+def orientation_sinks(o: Orientation, g: Graph) -> tuple[int, ...]:
+    """The vertices of g that are the tail of no directed edge of o."""
+    tails = {t for t, _ in o.directions}
+    return tuple(v for v in g.vertices if v not in tails)
+
+
 def fraction_rank(rows) -> int:
     """Reference rank over the rationals: Gauss-Jordan over Fraction."""
     m = [[Fraction(x) for x in row] for row in rows if any(row)]
@@ -270,8 +300,8 @@ def partition_product_expansion(g: Graph, k: WeightVector) -> QPolynomial:
     C(q*mult(part), repetition) per partition of the reference lattice."""
     total = QPolynomial.of([])
     for partition in recursive_bond_lattice(g, k):
-        term = QPolynomial.of([(-1) ** (k.height + len(partition))])
-        for part, rep in sorted(partition.multiplicities().items()):
+        term = QPolynomial.of([(-1) ** (k.height + len(partition.parts))])
+        for part, rep in sorted(Counter(partition.parts).items()):
             term = term * scaled_binomial(root_multiplicity(g, part), rep)
         total = total + term
     return total

@@ -8,8 +8,9 @@ from math import factorial
 import pytest
 
 from chromalie.cli import main, parse_weight_spec, UsageError
-from chromalie import QPolynomial, new_graph, graph_to_json, weight_box, \
-    is_connected_sub
+from chromalie import QPolynomial, new_graph, weight_box, is_connected_sub
+
+from helpers import graph_to_json
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -52,6 +53,15 @@ def test_chromatic_json(capsys, showcase_file):
     payload = json.loads(out)
     assert payload["schema"] == "1"
     assert payload["polynomial"] == ["0/1", "-1/1", "1/1"]
+
+
+def test_chromatic_auto_and_general_agree(capsys, showcase_file):
+    # auto detects no closed form: both values run the ordered-partition DP
+    outs = [run(capsys, ["chromatic", "--graph", showcase_file,
+                         "--k", "1:2,2:1,3:1,4:1", "--closed-form", form])
+            for form in ("auto", "general")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert outs[0][1].startswith("coefficients (constant first): 0 ")
 
 
 def test_mult_methods_agree(capsys, showcase_file):

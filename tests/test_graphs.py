@@ -6,11 +6,13 @@ from hypothesis import given
 
 from chromalie import (GraphError, WeightVector, complement,
                        enumerate_independent_sets, graph_from_json,
-                       graph_to_json, is_connected_sub, is_independent,
-                       is_triangle_free, join_graph, new_graph, weight_box)
+                       is_connected_sub, is_triangle_free, join_graph,
+                       new_graph, weight_box)
+from chromalie.graphs import coded_box
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    path_graph, small_graphs, weight_leq, weight_minus, weight_plus
+    graph_to_json, is_independent, path_graph, small_graphs, weight_leq, \
+    weight_minus, weight_plus
 
 
 graphs = small_graphs()
@@ -178,7 +180,7 @@ def test_json_errors():
 @pytest.mark.parametrize("bounds, max_height", [
     ({}, None), ({3: 2}, None), ({1: 2, 2: 0, 5: 3}, None),
     ({1: 2, 2: 1, 3: 2}, 3), ({0: 4, 1: 4, 2: 4}, 4), ({1: 1, 2: 1}, 0),
-    ({1: 1, 2: 1}, -1)])
+    ({1: 1, 2: 1}, -1), ({4: 0, 7: 0}, None)])
 def test_weight_box_matches_product_filter(bounds, max_height):
     verts = sorted(bounds)
     cap = sum(bounds.values()) if max_height is None else max_height
@@ -186,6 +188,31 @@ def test_weight_box_matches_product_filter(bounds, max_height):
                 for counts in product(*(range(bounds[v] + 1) for v in verts))
                 if sum(counts) <= cap]
     assert list(weight_box(bounds, max_height)) == expected
+    # coded_box: the same weights in the same order, with distinct codes
+    # that add and subtract as the weights do
+    place, coded = coded_box(bounds, max_height)
+    assert [w for w, _ in coded] == expected
+    code = dict(coded)
+    assert len(set(code.values())) == len(code)
+
+    def encode(w):
+        return sum(c * place[v] for v, c in w.counts)
+
+    assert all(encode(w) == code[w] for w in expected)
+    sums, differences = {}, {}
+    for a in expected:
+        for b in expected:
+            total = weight_plus(a, b)
+            sums[total] = encode(total)
+            assert sums[total] == code[a] + code[b]
+            if weight_leq(b, a):
+                assert code[weight_minus(a, b)] == code[a] - code[b]
+            differences[tuple(a.get(v) - b.get(v) for v in verts)] = \
+                code[a] - code[b]
+    # no carry: distinct sums, and distinct signed differences, keep
+    # distinct codes
+    assert len(set(sums.values())) == len(sums)
+    assert len(set(differences.values())) == len(differences)
 
 
 @pytest.mark.parametrize("g", [path_graph(1), path_graph(3), cycle_graph(4)])

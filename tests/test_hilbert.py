@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -140,11 +141,22 @@ def test_series_table():
 @settings(max_examples=40)
 @given(small_graphs(), st.integers(1, 3), st.integers(0, 5))
 def test_series_table_matches_uq_dimension(g, q, max_ht):
+    _check_series_table(g, q, max_ht)
+
+
+def test_series_table_matches_uq_dimension_on_scattered_ids():
+    # vertex ids need not be 1..n, and 0 may be one of them
+    rng = random.Random(14)
+    for g in random_graphs(seed=14, count=40, max_n=6):
+        _check_series_table(g, rng.randint(1, 3), rng.randint(0, 5))
+
+
+def _check_series_table(g, q, max_ht):
     table = series_table(g, q, max_ht)
     box = list(weight_box(dict.fromkeys(g.vertices, max_ht), max_ht))
     assert table[WeightVector.of({})] == 1
     assert table == {k: 1 if k.is_zero else uq_dimension(g, k, q)
-                     for k in box}
+                     for k in box}, (g, q, max_ht)
     if q == 1:
         assert table == {k: len(enumerate_weight_words(g, k)) for k in box}
 

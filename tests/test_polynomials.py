@@ -22,8 +22,6 @@ def test_arithmetic():
     q = QPolynomial.of([-1, 1])
     assert p * q == QPolynomial.of([-1, 0, 1])
     assert p + q == QPolynomial.of([0, 2])
-    assert p - p == ZERO
-    assert (-p).eval(2) == -3
     assert p.scale(Fraction(1, 2)).eval(3) == 2
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
-                       enumerate_weight_words, graph_to_json, i_form,
-                       initial_alphabet, initial_alphabet_set,
+                       enumerate_weight_words, i_form, initial_alphabet,
                        is_connected_sub, new_graph, trace, weight_box)
 from chromalie.cli import main
 from chromalie.trace import _class_rep, concat
 
-from helpers import (complete_graph, cycle_graph, greedy_canonicalize,
-                     path_graph, random_graphs, strip_initial_alphabet)
+from helpers import (complete_graph, cycle_graph, graph_to_json,
+                     greedy_canonicalize, initial_alphabet_set, path_graph,
+                     random_graphs, strip_initial_alphabet)
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
