@@ -15,10 +15,10 @@ _EXPORTS = {
     "polynomials": ("QPolynomial", "falling_binomial"),
     "chromatic": ("chromatic_complete", "chromatic_poly", "chromatic_tree",
                   "coloring_count_oracle", "ordered_partition_counts"),
-    "multiplicity": ("BondPartition", "Orientation", "acyclic_counts",
-                     "bond_lattice", "chromatic_via_bond_lattice",
-                     "count_unique_sink", "enumerate_acyclic_orientations",
-                     "moebius", "moebius_invert", "mult_via_orientations",
+    "multiplicity": ("acyclic_counts", "bond_lattice",
+                     "chromatic_via_bond_lattice", "count_unique_sink",
+                     "enumerate_acyclic_orientations", "moebius",
+                     "moebius_invert", "mult_via_orientations",
                      "root_multiplicity", "tuple_divisors"),
     "trace": ("b_set", "b_tilde", "canonicalize", "enumerate_weight_words",
               "i_form", "initial_alphabet"),

@@ -52,10 +52,12 @@ def parse_weight_spec(spec: str, g: Graph) -> WeightVector:
 
 def load_graph(path: str) -> Graph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return graph_from_json(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file is not UTF-8 text: {exc}") from None
 
 
 def check_limits(g: Graph, k: WeightVector | None) -> None:
@@ -171,7 +173,7 @@ def cmd_orientations(args, g: Graph, k: WeightVector | None) -> int:
         payload["unique_sink"] = {"sink": args.sink, "count": n}
         lines.append(f"unique sink {args.sink}: {n}")
     if args.list:
-        listing = [" ".join(f"{t}>{h}" for t, h in o.directions)
+        listing = [" ".join(f"{t}>{h}" for t, h in o)
                    for o in multiplicity.enumerate_acyclic_orientations(g)]
         payload["orientations"] = listing
         lines.extend(listing)

@@ -282,7 +282,8 @@ def coded_box(bounds: Mapping[int, int], max_height: int | None = None
     """The weights of weight_box(bounds, max_height), in its order, each with
     the integer code sum of w_v * place[v], place[v] = radix^j at the j-th
     vertex.  radix = 2 * max bound + 1, so no sum or difference of two box
-    weights carries: codes add and subtract as the weights do."""
+    weights carries: codes add and subtract as the weights do, and b fits
+    inside a exactly when code[a] - code[b] is again a box code."""
     radix = 2 * max(bounds.values(), default=0) + 1
     place = {v: radix ** j for j, v in enumerate(sorted(bounds))}
     return place, [(w, sum(c * place[v] for v, c in w.counts))
@@ -326,7 +327,7 @@ def graph_from_json(text: str) -> Graph:
     """Parse {"vertices":[{"id":int,"kind":"re"|"im"},...],"edges":[[u,v],...]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise GraphError("graph JSON must be an object")

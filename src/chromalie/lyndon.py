@@ -10,9 +10,9 @@ the bracketings inside the trace algebra lets us verify independence exactly.
 from __future__ import annotations
 
 from math import gcd
-from operator import le, sub
 
-from .graphs import Graph, GraphError, Value, WeightVector, weight_box
+from .graphs import (Graph, GraphError, Value, WeightVector, coded_box,
+                     weight_box)
 from .multiplicity import root_multiplicity
 from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
@@ -59,30 +59,35 @@ def bracket_tree(seq: LyndonSeq):
 
 
 def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
-    """All Lyndon sequences over the i-marked alphabet with total weight k."""
+    """All Lyndon sequences over the i-marked alphabet with total weight k.
+    Letters are grouped by their code in coded_box(k): a group fits the
+    residual code when the difference is again a box code, and no letter
+    below the first one is tried, since a Lyndon sequence starts with its
+    least letter."""
     if k.get(i) < 1:
         raise GraphError(f"vertex {i} needs positive weight")
-    support = k.support
-    marker = support.index(i)
-    # Each letter's weight as a count tuple aligned to k.support.
-    letters = [(w, tuple(w.count(v) for v in support))
-               for w in x_i_alphabet(g, k, i)]
+    place, box = coded_box(k.as_dict())
+    codes = {code for _, code in box}
+    groups: dict[int, list[TraceWord]] = {}
+    for w in x_i_alphabet(g, k, i):
+        groups.setdefault(sum(place[c] for c in w), []).append(w)
     results = []
 
-    def rec(residual: tuple[int, ...], acc: list[TraceWord]):
-        if not any(residual):
+    def rec(residual: int, acc: list[TraceWord]):
+        if not residual:
             if is_lyndon(tuple(acc)):
                 results.append(tuple(acc))
             return
-        if residual[marker] < 1:
-            return
-        for w, wt in letters:
-            if all(map(le, wt, residual)):
-                acc.append(w)
-                rec(tuple(map(sub, residual, wt)), acc)
-                acc.pop()
+        for step, words in groups.items():
+            rest = residual - step
+            if rest in codes:
+                for w in words:
+                    if not acc or w >= acc[0]:
+                        acc.append(w)
+                        rec(rest, acc)
+                        acc.pop()
 
-    rec(tuple(k.get(v) for v in support), [])
+    rec(box[-1][1], [])  # weight_box ends at k itself
     return sorted(results)
 
 
@@ -179,8 +184,8 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     """Check that the expanded Lyndon bracketings form a basis of the graded
     component: cardinality equals the root multiplicity and the expansions
     have full rank over the rationals."""
-    lyndon = c_i_set(g, k, i)
     g.check_imaginary()
+    lyndon = c_i_set(g, k, i)
     mult = root_multiplicity(g, k)
     rank = exact_rank([expand_bracket(bracket_tree(seq), g) for seq in lyndon])
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from operator import add, le, sub
+from operator import add
 from typing import Callable, Mapping
 
-from .graphs import (Graph, GraphError, REAL, Value, WeightVector, coded_box,
-                     is_connected_sub, join_graph, weight_box)
+from .graphs import (Graph, GraphError, REAL, WeightVector, coded_box,
+                     is_connected_sub, join_graph)
 from .polynomials import QPolynomial, times_scaled_falling
 
 
@@ -87,41 +87,30 @@ def root_multiplicity(g: Graph, k: WeightVector) -> int:
         chromatic_poly(g, k.divide(ell)).linear_coefficient))
 
 
-class BondPartition(Value):
-    """Multiset of connected-support weight vectors summing to an ambient one."""
-
-    __slots__ = ("parts",)
-    _fields = __slots__
-    _key = lambda self: (self.parts,)
-
-    def __init__(self, parts: tuple[WeightVector, ...]):
-        self.parts = parts  # sorted descending, repeats allowed
-
-
-def bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
-    """All multisets of connected-support weight vectors that sum to k.
-    Depth-first over descending candidates on tuples aligned to k.support;
-    each residual carries the candidates from the current one on that fit."""
+def bond_lattice(g: Graph, k: WeightVector) -> list[tuple[WeightVector, ...]]:
+    """All multisets of connected-support weight vectors that sum to k, each
+    as a tuple of parts in descending order, repeats allowed.  Depth-first
+    over descending candidates on the codes of coded_box(k): a candidate fits
+    a residual code when the difference is again a box code, and each
+    residual carries the candidates from the current one on that fit."""
     k.check_support(g)
-    if k.is_zero:
-        return [BondPartition(())]
-    candidates = sorted((w for w in weight_box(k.as_dict())
+    _, box = coded_box(k.as_dict())
+    codes = {code for _, code in box}
+    candidates = sorted(((w, code) for w, code in box
                          if is_connected_sub(g, w.support)), reverse=True)
-    vectors = [tuple(w.get(v) for v in k.support) for w in candidates]
-    results: list[BondPartition] = []
+    results: list[tuple[WeightVector, ...]] = []
 
-    def rec(residual: tuple[int, ...], fitting: list[int],
+    def rec(residual: int, fitting: list[tuple[WeightVector, int]],
             acc: tuple[WeightVector, ...]):
-        if not any(residual):
-            results.append(BondPartition(acc))
+        if not residual:
+            results.append(acc)
             return
-        for pos, idx in enumerate(fitting):
-            rest = tuple(map(sub, residual, vectors[idx]))
-            rec(rest, [j for j in fitting[pos:]
-                       if all(map(le, vectors[j], rest))],
-                acc + (candidates[idx],))
+        for pos, (part, step) in enumerate(fitting):
+            rest = residual - step
+            rec(rest, [c for c in fitting[pos:] if rest - c[1] in codes],
+                acc + (part,))
 
-    rec(tuple(k.get(v) for v in k.support), list(range(len(candidates))), ())
+    rec(box[-1][1], candidates, ())  # weight_box ends at k itself
     return results
 
 
@@ -162,22 +151,12 @@ def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
     return bond_table(g, k.as_dict())[k]
 
 
-class Orientation(Value):
-    """Assignment of a direction to every edge; (tail, head) per sorted edge."""
-
-    __slots__ = ("directions",)
-    _fields = __slots__
-    _key = lambda self: (self.directions,)
-
-    def __init__(self, directions: tuple[tuple[int, int], ...]):
-        self.directions = directions
-
-
-def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:
-    """All acyclic orientations, deterministic order.  Directions are assigned
-    edge by edge (sorted edge order), pruning as soon as a cycle appears."""
+def enumerate_acyclic_orientations(g: Graph) -> list[tuple[tuple[int, int], ...]]:
+    """All acyclic orientations, deterministic order, each a (tail, head) pair
+    per edge in sorted edge order.  Directions are assigned edge by edge,
+    pruning as soon as a cycle appears."""
     edges = sorted(g.edges)
-    out: list[Orientation] = []
+    out: list[tuple[tuple[int, int], ...]] = []
     succ: dict[int, set[int]] = {v: set() for v in g.vertices}
 
     def reaches(a: int, b: int) -> bool:
@@ -194,7 +173,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[Orientation]:
 
     def rec(idx: int, acc: list[tuple[int, int]]):
         if idx == len(edges):
-            out.append(Orientation(tuple(acc)))
+            out.append(tuple(acc))
             return
         u, v = edges[idx]
         for tail, head in ((u, v), (v, u)):

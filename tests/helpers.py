@@ -10,9 +10,9 @@ from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
-from chromalie import BondPartition, Graph, GraphError, Orientation, \
-    WeightVector, enumerate_independent_sets, initial_alphabet, \
-    is_connected_sub, new_graph, root_multiplicity
+from chromalie import Graph, GraphError, WeightVector, \
+    enumerate_independent_sets, initial_alphabet, is_connected_sub, \
+    is_lyndon, new_graph, root_multiplicity, x_i_alphabet
 from chromalie.graphs import weight_box
 from chromalie.multiplicity import moebius
 from chromalie.polynomials import QPolynomial, falling_binomial, \
@@ -218,9 +218,10 @@ def initial_alphabet_set(w, g: Graph) -> frozenset[int]:
     return frozenset(initial_alphabet(w, g))
 
 
-def orientation_sinks(o: Orientation, g: Graph) -> tuple[int, ...]:
-    """The vertices of g that are the tail of no directed edge of o."""
-    tails = {t for t, _ in o.directions}
+def orientation_sinks(o, g: Graph) -> tuple[int, ...]:
+    """The vertices of g that are the tail of no directed edge of the
+    orientation o, a tuple of (tail, head) pairs."""
+    tails = {t for t, _ in o}
     return tuple(v for v in g.vertices if v not in tails)
 
 
@@ -271,18 +272,18 @@ def weight_plus(a: WeightVector, b: WeightVector) -> WeightVector:
     return WeightVector.of(d)
 
 
-def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
+def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[tuple]:
     """Reference bond lattice: the same depth-first search over the connected
     candidates in descending order, on weight_leq and weight_minus."""
     if k.is_zero:
-        return [BondPartition(())]
+        return [()]
     candidates = sorted((w for w in weight_box(k.as_dict())
                          if is_connected_sub(g, w.support)), reverse=True)
     results = []
 
     def rec(residual, start, acc):
         if residual.is_zero:
-            results.append(BondPartition(tuple(acc)))
+            results.append(tuple(acc))
             return
         for idx in range(start, len(candidates)):
             j = candidates[idx]
@@ -295,13 +296,40 @@ def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[BondPartition]:
     return results
 
 
+def letter_scan_c_i_set(g: Graph, k: WeightVector, i: int) -> list[tuple]:
+    """Reference Lyndon sequences of weight k over the i-marked alphabet:
+    every letter is tried at every node, on count tuples aligned to
+    k.support, and the search stops once no i is left to place."""
+    support = k.support
+    marker = support.index(i)
+    letters = [(w, tuple(w.count(v) for v in support))
+               for w in x_i_alphabet(g, k, i)]
+    results = []
+
+    def rec(residual, acc):
+        if not any(residual):
+            if is_lyndon(tuple(acc)):
+                results.append(tuple(acc))
+            return
+        if residual[marker] < 1:
+            return
+        for w, wt in letters:
+            if all(a <= b for a, b in zip(wt, residual)):
+                acc.append(w)
+                rec(tuple(b - a for a, b in zip(wt, residual)), acc)
+                acc.pop()
+
+    rec(tuple(k.get(v) for v in support), [])
+    return sorted(results)
+
+
 def partition_product_expansion(g: Graph, k: WeightVector) -> QPolynomial:
     """Reference bond expansion: one Fraction polynomial product of
     C(q*mult(part), repetition) per partition of the reference lattice."""
     total = QPolynomial.of([])
     for partition in recursive_bond_lattice(g, k):
-        term = QPolynomial.of([(-1) ** (k.height + len(partition.parts))])
-        for part, rep in sorted(Counter(partition.parts).items()):
+        term = QPolynomial.of([(-1) ** (k.height + len(partition))])
+        for part, rep in sorted(Counter(partition).items()):
             term = term * scaled_binomial(root_multiplicity(g, part), rep)
         total = total + term
     return total

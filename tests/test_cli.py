@@ -270,6 +270,19 @@ def test_missing_graph_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00garbage",
+                                  b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf8", "nested-200000-deep"])
+def test_malformed_graph_file(capsys, tmp_path, data):
+    # one error line and exit 3, not a traceback
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    code, out, err = run(capsys, ["chromatic", "--graph", str(p),
+                                  "--k", "1:1"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_boolean_vertex_ids_rejected(capsys, tmp_path):
     for doc in ({"vertices": [{"id": True}]},
                 {"vertices": [{"id": 1}, {"id": 2}], "edges": [[True, 2]]}):

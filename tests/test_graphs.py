@@ -199,6 +199,7 @@ def test_weight_box_matches_product_filter(bounds, max_height):
         return sum(c * place[v] for v, c in w.counts)
 
     assert all(encode(w) == code[w] for w in expected)
+    codes = set(code.values())
     sums, differences = {}, {}
     for a in expected:
         for b in expected:
@@ -207,6 +208,9 @@ def test_weight_box_matches_product_filter(bounds, max_height):
             assert sums[total] == code[a] + code[b]
             if weight_leq(b, a):
                 assert code[weight_minus(a, b)] == code[a] - code[b]
+            # the fit rule of the part searches: b fits inside a exactly
+            # when the difference of the codes is again a box code
+            assert (code[a] - code[b] in codes) == weight_leq(b, a), (a, b)
             differences[tuple(a.get(v) - b.get(v) for v in verts)] = \
                 code[a] - code[b]
     # no carry: distinct sums, and distinct signed differences, keep

@@ -67,7 +67,7 @@ def _compatible_pairs_brute_force(g, q):
     total = 0
     for labels in product(range(1, q + 1), repeat=len(g.vertices)):
         sigma = dict(zip(g.vertices, labels))
-        total += sum(all(sigma[t] >= sigma[h] for t, h in o.directions)
+        total += sum(all(sigma[t] >= sigma[h] for t, h in o)
                      for o in orientations)
     return total
 

@@ -10,7 +10,8 @@ from chromalie import (GraphError, WeightVector, bracket_tree, c_i_set,
 from chromalie import lyndon, trace
 from chromalie.lyndon import exact_rank
 
-from helpers import complete_graph, cycle_graph, fraction_rank, path_graph
+from helpers import complete_graph, cycle_graph, fraction_rank, \
+    letter_scan_c_i_set, path_graph, random_graphs
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 SHOWCASE_K = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
@@ -63,6 +64,24 @@ def test_c_i_set_showcase_brackets():
     words1 = c_i_set(SHOWCASE, SHOWCASE_K, 1)
     rendered1 = [render_bracket(bracket_tree(w)) for w in words1]
     assert rendered1 == ["[e1,[e3,[e4,[e2,e1]]]]", "[e1,[e4,[e3,[e2,e1]]]]"]
+
+
+def test_c_i_set_matches_letter_scan():
+    # scattered vertex ids (0 among them), disconnected supports and every
+    # support vertex as the marked one; the lists must agree in order
+    rng = random.Random(12)
+    seen = set()
+    for g in random_graphs(seed=12, count=30, max_n=5):
+        for _ in range(2):
+            k = WeightVector.of({v: rng.randint(0, 3) for v in g.vertices})
+            if k.is_zero or k.height > 7:
+                continue
+            seen.add("vertex 0" if 0 in k.support else "no vertex 0")
+            for i in k.support:
+                words = c_i_set(g, k, i)
+                assert words == letter_scan_c_i_set(g, k, i), (g, k, i)
+                seen.add("nonempty" if words else "empty")
+    assert seen == {"vertex 0", "no vertex 0", "nonempty", "empty"}
 
 
 def test_right_normed_nonzero_classification():
@@ -146,6 +165,16 @@ def test_verify_basis_showcase():
     assert report.multiplicity == 2
     assert report.counts_match and report.rank_matches
     assert report.right_normed_checked and report.right_normed_consistent
+
+
+def test_verify_basis_refuses_before_searching(monkeypatch):
+    def unreached(g, k, i):
+        raise AssertionError("c_i_set ran on a graph with a real vertex")
+
+    monkeypatch.setattr(lyndon, "c_i_set", unreached)
+    g = new_graph([1, 2], kinds={1: "re"}, edges=[(1, 2)])
+    with pytest.raises(GraphError):
+        verify_basis(g, WeightVector.ones([1, 2]), 2)
 
 
 def test_verify_basis_lists_no_full_weight_words(monkeypatch):
