@@ -13,7 +13,7 @@ from math import gcd
 
 from .graphs import (Graph, GraphError, Value, WeightVector, coded_box,
                      weight_box)
-from .multiplicity import root_multiplicity
+from .multiplicity import _check_real_constraint, root_multiplicity
 from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
 LyndonSeq = tuple[TraceWord, ...]
@@ -66,6 +66,7 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
     least letter."""
     if k.get(i) < 1:
         raise GraphError(f"vertex {i} needs positive weight")
+    _check_real_constraint(g, k)
     place, box = coded_box(k.as_dict())
     codes = {code for _, code in box}
     groups: dict[int, list[TraceWord]] = {}
@@ -98,21 +99,14 @@ def right_normed_nonzero(letters, g: Graph) -> bool:
     return sum(ia.values()) == 1
 
 
-def _mul(a: LieExpr, b: LieExpr, g: Graph) -> LieExpr:
+def _commutator(a: LieExpr, b: LieExpr, g: Graph) -> LieExpr:
+    """ab - ba in the trace algebra, both products summed in one pass."""
     out: LieExpr = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            key = canonicalize(wa + wb, g)
-            out[key] = out.get(key, 0) + ca * cb
-    return {w: c for w, c in out.items() if c}
-
-
-def _commutator(a: LieExpr, b: LieExpr, g: Graph) -> LieExpr:
-    ab = _mul(a, b, g)
-    ba = _mul(b, a, g)
-    out = dict(ab)
-    for w, c in ba.items():
-        out[w] = out.get(w, 0) - c
+            ab, ba = canonicalize(wa + wb, g), canonicalize(wb + wa, g)
+            out[ab] = out.get(ab, 0) + ca * cb
+            out[ba] = out.get(ba, 0) - ca * cb
     return {w: c for w, c in out.items() if c}
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, GraphError, WeightVector
 
@@ -78,56 +78,30 @@ def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     """Unique factorization w = w_1 ... w_m (m = number of i's) with every
     factor containing one i and having initial alphabet exactly {i}.
 
-    The last factor is maximal: it consists of every position not forced
-    (through the dependence order) to precede the second-to-last i.
+    Factor j holds the positions below the j-th i in the heap order but not
+    below the (j-1)-th.  One backward scan gives each i its own index and
+    every other position the least index among the next later occurrences
+    of the letters it does not commute with; a position with none is a final
+    letter other than i.  Works on any representative of the trace.
     """
-    if set(initial_alphabet(w, g)) != {i}:
-        raise GraphError(f"word does not have initial alphabet {{{i}}}")
-    return _i_form(w, i, g)
-
-
-def _i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
-    """i_form without the initial-alphabet check, for words of b_tilde."""
     dep = g.dependence
-    seq = list(canonicalize(w, g))
-    factors: list[TraceWord] = []
-    while True:
-        positions = [p for p, c in enumerate(seq) if c == i]
-        if len(positions) <= 1:
-            break
-        # Scan back from the second-to-last i, collecting every position
-        # that does not commute with one already collected.
-        below = [positions[-2]]
-        reach = set(dep[i])
-        for j in range(below[0] - 1, -1, -1):
-            if seq[j] in reach:
-                below.append(j)
-                reach |= dep[seq[j]]
-        below.reverse()
-        kept = set(below)
-        factors.append(canonicalize(
-            [c for j, c in enumerate(seq) if j not in kept], g))
-        seq = [seq[j] for j in below]
-    factors.append(canonicalize(seq, g))
-    return tuple(reversed(factors))
-
-
-def concat(factors: Iterable[Sequence[int]], g: Graph) -> TraceWord:
-    return canonicalize([c for f in factors for c in f], g)
-
-
-def _class_rep(f: IForm, g: Graph,
-               rotations: set[TraceWord] | None = None) -> IForm | None:
-    """The rotation of f whose concatenated canonical form is least, or None
-    when two rotations concatenate to the same trace (f is periodic).  The
-    concatenated rotations are added to `rotations` when it is given."""
-    words = [concat(f[r:] + f[:r], g) for r in range(len(f))]
-    if rotations is not None:
-        rotations.update(words)
-    if len(set(words)) < len(words):
-        return None
-    r = words.index(min(words))
-    return f[r:] + f[:r]
+    factors: list[list[int]] = [[] for _ in range(w.count(i))]
+    nxt: dict[int, int] = {}   # factor of the next later occurrence of a letter
+    f = None
+    for c in reversed(w):
+        if c not in dep:
+            raise GraphError(f"unknown letter {c}")
+        if c == i:
+            f = nxt.get(i, len(factors)) - 1
+        else:
+            f = min((nxt[d] for d in dep[c] if d in nxt), default=None)
+            if f is None:
+                break
+        nxt[c] = f
+        factors[f].append(c)
+    if f is None:
+        raise GraphError(f"word does not have initial alphabet {{{i}}}")
+    return tuple(canonicalize(part[::-1], g) for part in factors)
 
 
 @lru_cache(maxsize=256)
@@ -194,13 +168,16 @@ def b_tilde(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
 
 def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
     """Aperiodic members of b_tilde, one i-form per cyclic rotation class.
-    Rotations of an i-form concatenate to words of b_tilde with that rotation
-    as i-form, so words already produced as a rotation are skipped."""
-    reps = set()
-    seen: set[TraceWord] = set()
+    The rotations of an i-form are the i-forms of the other words in its
+    class, so the first word of a class in ascending order stands for it,
+    and the class is aperiodic when its m rotations are distinct tuples."""
+    reps = []
+    seen: set[IForm] = set()
     for w in b_tilde(g, k, i):
-        if w not in seen:
-            rep = _class_rep(_i_form(w, i, g), g, seen)
-            if rep is not None:
-                reps.add(rep)
+        f = i_form(w, i, g)
+        if f not in seen:
+            rotations = {f[r:] + f[:r] for r in range(len(f))}
+            seen |= rotations
+            if len(rotations) == len(f):
+                reps.append(f)
     return sorted(reps)

@@ -10,7 +10,7 @@ from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
-from chromalie import Graph, GraphError, WeightVector, \
+from chromalie import Graph, GraphError, WeightVector, canonicalize, \
     enumerate_independent_sets, initial_alphabet, is_connected_sub, \
     is_lyndon, new_graph, root_multiplicity, x_i_alphabet
 from chromalie.graphs import weight_box
@@ -216,6 +216,34 @@ def strip_initial_alphabet(w, g: Graph) -> Counter:
 def initial_alphabet_set(w, g: Graph) -> frozenset[int]:
     """The letters of the initial alphabet of w, without multiplicities."""
     return frozenset(initial_alphabet(w, g))
+
+
+def peel_i_form(w, i: int, g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Reference i-form: check the initial alphabet, canonicalize the whole
+    word, then peel off the last factor (every position not forced below the
+    second-to-last i) and canonicalize it, until one i is left."""
+    if initial_alphabet_set(w, g) != {i}:
+        raise GraphError(f"word does not have initial alphabet {{{i}}}")
+    dep = g.dependence
+    seq = list(canonicalize(w, g))
+    factors = []
+    while True:
+        positions = [p for p, c in enumerate(seq) if c == i]
+        if len(positions) <= 1:
+            break
+        below = [positions[-2]]
+        reach = set(dep[i])
+        for j in range(below[0] - 1, -1, -1):
+            if seq[j] in reach:
+                below.append(j)
+                reach |= dep[seq[j]]
+        below.reverse()
+        kept = set(below)
+        factors.append(canonicalize(
+            [c for j, c in enumerate(seq) if j not in kept], g))
+        seq = [seq[j] for j in below]
+    factors.append(canonicalize(seq, g))
+    return tuple(reversed(factors))
 
 
 def orientation_sinks(o, g: Graph) -> tuple[int, ...]:

@@ -88,6 +88,20 @@ def test_basis_command(capsys, showcase_file):
     assert "ok=True" in out
 
 
+def test_basis_refuses_overweight_real_vertex(capsys, tmp_path):
+    p = tmp_path / "re_im.json"
+    p.write_text(graph_to_json(new_graph([1, 2], kinds={1: "re"},
+                                         edges=[(1, 2)])))
+    message = "real vertex 1 carries weight 2 > 1"
+    for cmd in ("basis", "mult"):
+        code, out, err = run(capsys, [cmd, "--graph", str(p),
+                                      "--k", "1:2,2:1", "--sink", "2"])
+        assert code == 3 and out == "" and message in err, cmd
+    code, out, _ = run(capsys, ["basis", "--graph", str(p),
+                                "--k", "1:1,2:2", "--sink", "2"])
+    assert code == 0 and out == "[[e1,e2],e2]\n"
+
+
 def test_words_command(capsys, showcase_file):
     code, out, _ = run(capsys, ["words", "--graph", showcase_file,
                                 "--k", "1:1,2:1", "--json"])

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from chromalie import (GraphError, WeightVector, bracket_tree, c_i_set,
-                       expand_bracket, expand_right_normed, is_lyndon,
+from chromalie import (GraphError, WeightVector, b_set, bracket_tree,
+                       c_i_set, expand_bracket, expand_right_normed, is_lyndon,
                        new_graph, render_bracket, right_normed_nonzero,
                        root_multiplicity, standard_factorization,
-                       verify_basis, x_i_alphabet)
+                       verify_basis, weight_box, x_i_alphabet)
 from chromalie import lyndon, trace
 from chromalie.lyndon import exact_rank
 
@@ -82,6 +82,30 @@ def test_c_i_set_matches_letter_scan():
                 assert words == letter_scan_c_i_set(g, k, i), (g, k, i)
                 seen.add("nonempty" if words else "empty")
     assert seen == {"vertex 0", "no vertex 0", "nonempty", "empty"}
+
+
+def test_c_i_set_is_least_rotation_of_b_set():
+    # Lyndon sequences and aperiodic i-form classes are in bijection: each
+    # Lyndon sequence is the least rotation of its class's i-form
+    triples = 0
+    for g in random_graphs(seed=40, count=40, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 3), 6):
+            for i in k.support:
+                assert c_i_set(g, k, i) == sorted(
+                    min(f[r:] + f[:r] for r in range(len(f)))
+                    for f in b_set(g, k, i)), (g, k, i)
+                triples += 1
+    assert triples == 9828
+
+
+def test_c_i_set_refuses_overweight_real_vertex(monkeypatch):
+    def unreached(g, k, i):
+        raise AssertionError("x_i_alphabet ran on an overweight real vertex")
+
+    monkeypatch.setattr(lyndon, "x_i_alphabet", unreached)
+    g = new_graph([1, 2], kinds={1: "re"}, edges=[(1, 2)])
+    with pytest.raises(GraphError, match="real vertex 1 carries weight 2"):
+        c_i_set(g, WeightVector.of({1: 2, 2: 1}), 2)
 
 
 def test_right_normed_nonzero_classification():

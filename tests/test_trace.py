@@ -8,11 +8,10 @@ from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
                        enumerate_weight_words, i_form, initial_alphabet,
                        is_connected_sub, new_graph, trace, weight_box)
 from chromalie.cli import main
-from chromalie.trace import _class_rep, concat
 
 from helpers import (complete_graph, cycle_graph, graph_to_json,
                      greedy_canonicalize, initial_alphabet_set, path_graph,
-                     random_graphs, strip_initial_alphabet)
+                     peel_i_form, random_graphs, strip_initial_alphabet)
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -104,15 +103,39 @@ def test_i_form_concat_round_trip():
     for w in b_tilde(g, k, 1):
         f = i_form(w, 1, g)
         assert len(f) == 2
-        assert concat(f, g) == w
+        assert canonicalize(sum(f, ()), g) == w
         for factor in f:
             assert initial_alphabet_set(factor, g) == frozenset({1})
             assert factor.count(1) == 1
 
 
 def test_i_form_requires_single_initial_letter():
-    with pytest.raises(GraphError):
-        i_form((1, 2), 1, path_graph(2))
+    # also the empty word, a word with no i and unknown letters
+    for w in ((1, 2), (), (2, 2), (9, 1), (1, 9), (1, 9, 1)):
+        with pytest.raises(GraphError):
+            i_form(w, 1, path_graph(2))
+
+
+def test_i_form_matches_peel_reference():
+    # every word up to height 5 and its reverse (a non-canonical
+    # representative), with every vertex as i; both raise on the same inputs
+    def outcome(form, w, i, g):
+        try:
+            return form(w, i, g)
+        except GraphError:
+            return None
+
+    outcomes = Counter()
+    for g in random_graphs(seed=3, count=60, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 3), 5):
+            for w in enumerate_weight_words(g, k):
+                for rep in (w, w[::-1]):
+                    for i in g.vertices:
+                        expected = outcome(peel_i_form, rep, i, g)
+                        assert outcome(i_form, rep, i, g) == expected, \
+                            (g, rep, i)
+                        outcomes[expected is None] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_enumerate_weight_words_path():
@@ -150,10 +173,15 @@ def test_aperiodicity():
     k = WeightVector.of({1: 2, 2: 2})
     forms = sorted({i_form(w, 1, g) for w in b_tilde(g, k, 1)})
     # (21)(21) is periodic, so it has no class representative
-    assert [f for f in forms if _class_rep(f, g) is None] == [((2, 1), (2, 1))]
-    assert _class_rep(((2, 2, 1), (1,)), g) == ((1,), (2, 2, 1))
-    for f in b_set(g, k, 1):
-        assert _class_rep(f, g) == f
+    assert [f for f in forms if f[1:] + f[:1] == f] == [((2, 1), (2, 1))]
+    reps = b_set(g, k, 1)
+    assert ((2, 1), (2, 1)) not in reps
+    assert ((1,), (2, 2, 1)) in reps and ((2, 2, 1), (1,)) not in reps
+    # each representative is the rotation whose concatenation is least
+    for f in reps:
+        words = [canonicalize(sum(f[r:] + f[:r], ()), g) for r in range(len(f))]
+        assert len(set(words)) == len(words)
+        assert min(words) == words[0]
 
 
 def test_b_set_counts_match_multiplicity():
