@@ -110,6 +110,8 @@ def cmd_chromatic(args, g: Graph, k: WeightVector | None) -> int:
 
 def cmd_mult(args, g: Graph, k: WeightVector | None) -> int:
     from . import multiplicity
+    if args.sink is not None and args.method != "orientations":
+        raise UsageError("--sink needs --method orientations")
     if k.is_zero:
         raise GraphError("zero weight vector")
     if args.method == "orientations":
@@ -148,6 +150,8 @@ def cmd_basis(args, g: Graph, k: WeightVector | None) -> int:
 
 def cmd_words(args, g: Graph, k: WeightVector | None) -> int:
     from . import trace
+    if args.aperiodic_classes is not None and args.ia is not None:
+        raise UsageError("--ia and --aperiodic-classes do not combine")
     if args.aperiodic_classes is not None:
         forms = trace.b_set(g, k, args.aperiodic_classes)
         rendered = [" | ".join(" ".join(map(str, f)) for f in form)
@@ -184,14 +188,19 @@ def cmd_orientations(args, g: Graph, k: WeightVector | None) -> int:
 def cmd_hilbert(args, g: Graph, k: WeightVector | None) -> int:
     from . import hilbert
     table = hilbert.series_table(g, args.q, args.max_ht)
-    # Built lazily, so that only the output that is printed gets built.
-    entries = ({"k": {str(v): c for v, c in w.counts}, "dim": table[w]}
-               for w in sorted(table, key=lambda w: w.counts))
+    weights = sorted(table, key=lambda w: w.counts)
     if args.json:
-        _emit(args, {"q": args.q, "entries": list(entries)}, ())
-    else:
-        _emit(args, {}, (f"{json.dumps(e['k'], sort_keys=True)} -> {e['dim']}"
-                         for e in entries))
+        _emit(args, {"q": args.q, "entries": [
+            {"k": {str(v): c for v, c in w.counts}, "dim": table[w]}
+            for w in weights]}, ())
+    else:  # k as json.dumps(k, sort_keys=True) prints it, string keys sorted
+        keys = [(v, f'"{v}": ') for v in sorted(g.vertices, key=str)]
+
+        def line(w: WeightVector) -> str:
+            counts = dict(w.counts)
+            return "{" + ", ".join([key + str(counts[v]) for v, key in keys
+                                    if v in counts]) + f"}} -> {table[w]}"
+        _emit(args, {}, map(line, weights))
     return 0
 
 

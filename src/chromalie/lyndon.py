@@ -10,16 +10,19 @@ the bracketings inside the trace algebra lets us verify independence exactly.
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 from .graphs import (Graph, GraphError, Value, WeightVector, coded_box,
                      weight_box)
 from .multiplicity import _check_real_constraint, root_multiplicity
-from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
+from .trace import TraceWord, b_tilde, initial_alphabet
 
 LyndonSeq = tuple[TraceWord, ...]
 # A bracket tree is either a leaf (a trace word, i.e. tuple of ints) or a
 # pair (left, right) of bracket trees.
 LieExpr = dict[TraceWord, int]
+# A trace keyed by its projections onto the parts of _projection_keys.
+Key = tuple[tuple[int, ...], ...]
 
 
 def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
@@ -99,35 +102,90 @@ def right_normed_nonzero(letters, g: Graph) -> bool:
     return sum(ia.values()) == 1
 
 
-def _commutator(a: LieExpr, b: LieExpr, g: Graph) -> LieExpr:
-    """ab - ba in the trace algebra, both products summed in one pass."""
-    out: LieExpr = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            ab, ba = canonicalize(wa + wb, g), canonicalize(wb + wa, g)
+def _projection_keys(letters, g: Graph
+                     ) -> tuple[dict[int, Key], list[tuple[int, ...]]]:
+    """Key each trace over `letters` by its projections onto every edge of g
+    between them and onto each of them with no neighbour among them.  Two
+    words are the same trace iff their keys agree (the projection lemma:
+    Cori & Perrin 1985), and a product's key is the componentwise
+    concatenation of its factors' keys.  Stars would not do: a star's
+    projection orders two neighbours of its centre that commute."""
+    present = set(letters)
+    for c in present:
+        if c not in g.dependence:
+            raise GraphError(f"unknown letter {c}")
+    parts = [e for e in sorted(g.edges) if present.issuperset(e)]
+    covered = {v for e in parts for v in e}
+    parts += [(v,) for v in sorted(present - covered)]
+    return {c: tuple((c,) if c in p else () for p in parts)
+            for c in present}, parts
+
+
+def _commutator(a: dict[Key, int], b: dict[Key, int]) -> dict[Key, int]:
+    """ab - ba on projection keys, both products summed in one pass."""
+    out: dict[Key, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            ab, ba = tuple(map(add, ka, kb)), tuple(map(add, kb, ka))
             out[ab] = out.get(ab, 0) + ca * cb
             out[ba] = out.get(ba, 0) - ca * cb
     return {w: c for w, c in out.items() if c}
 
 
+def _expand(tree, key: dict[int, Key]) -> dict[Key, int]:
+    """A bracket tree expanded on projection keys; a leaf trace word is the
+    right-normed Lie word on its letters."""
+    if isinstance(tree[0], int):
+        expr = {key[tree[-1]]: 1}
+        for letter in reversed(tree[:-1]):
+            expr = _commutator({key[letter]: 1}, expr)
+        return expr
+    left, right = tree
+    return _commutator(_expand(left, key), _expand(right, key))
+
+
+def _canonical(expr: dict[Key, int], parts: list[tuple[int, ...]]) -> LieExpr:
+    """Rewrite each key as its canonical form: repeatedly emit the largest
+    letter that heads every projection it belongs to, which is the largest
+    piece resting on nothing, as canonicalize picks it."""
+    heads = [(c, [j for j, p in enumerate(parts) if c in p])
+             for c in sorted({c for p in parts for c in p}, reverse=True)]
+    out: LieExpr = {}
+    for key, coeff in expr.items():
+        at = [0] * len(parts)   # how much of each projection is emitted
+        word = []
+        while True:
+            for c, js in heads:
+                if all(at[j] < len(key[j]) and key[j][at[j]] == c for j in js):
+                    break
+            else:
+                break
+            word.append(c)
+            for j in js:
+                at[j] += 1
+        out[tuple(word)] = coeff
+    return out
+
+
 def expand_right_normed(word, g: Graph) -> LieExpr:
     """Expansion of [e_{i1},[e_{i2},...[e_{i_{r-1}},e_{ir}]..]] in the trace
     algebra (valid model of the enveloping algebra when all vertices are
-    imaginary)."""
-    g.check_imaginary()
-    expr: LieExpr = {canonicalize((word[-1],), g): 1}
-    for letter in reversed(word[:-1]):
-        expr = _commutator({(letter,): 1}, expr, g)
-    return expr
+    imaginary), keyed by canonical forms."""
+    return expand_bracket(tuple(word), g)
+
+
+def _leaves(tree) -> TraceWord:
+    return tree if isinstance(tree[0], int) else \
+        _leaves(tree[0]) + _leaves(tree[1])
 
 
 def expand_bracket(tree, g: Graph) -> LieExpr:
-    """Expand a bracket tree (leaves expand as right-normed Lie words)."""
+    """Expand a bracket tree (leaves expand as right-normed Lie words),
+    keyed by canonical forms; each distinct key is rewritten once, at the
+    end."""
     g.check_imaginary()
-    if isinstance(tree[0], int):  # leaf: a trace word
-        return expand_right_normed(tree, g)
-    left, right = tree
-    return _commutator(expand_bracket(left, g), expand_bracket(right, g), g)
+    key, parts = _projection_keys(_leaves(tree), g)
+    return _canonical(_expand(tree, key), parts)
 
 
 def exact_rank(rows: list[dict]) -> int:
@@ -181,14 +239,21 @@ def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
     g.check_imaginary()
     lyndon = c_i_set(g, k, i)
     mult = root_multiplicity(g, k)
-    rank = exact_rank([expand_bracket(bracket_tree(seq), g) for seq in lyndon])
+    key, _ = _projection_keys(k.support, g)
+    shared: dict[Key, Key] = {}
+
+    def row(tree) -> dict[Key, int]:  # one object per distinct key of a call
+        return {shared.setdefault(w, w): c
+                for w, c in _expand(tree, key).items()}
+
+    rank = exact_rank([row(bracket_tree(seq)) for seq in lyndon])
 
     rn_checked = k.get(i) == 1
     rn_consistent = True
     if rn_checked:
         nonzero_words = []
         for w in b_tilde(g, k, i):
-            expr = expand_right_normed(w, g)
+            expr = row(w)
             if bool(expr) != right_normed_nonzero(w, g):
                 rn_consistent = False
             if expr:

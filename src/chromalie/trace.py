@@ -76,105 +76,126 @@ def initial_alphabet(w: Sequence[int], g: Graph) -> Counter:
 
 def i_form(w: Sequence[int], i: int, g: Graph) -> IForm:
     """Unique factorization w = w_1 ... w_m (m = number of i's) with every
-    factor containing one i and having initial alphabet exactly {i}.
+    factor containing one i and having initial alphabet exactly {i}; each
+    factor in canonical form.  Works on any representative of the trace."""
+    return tuple(canonicalize(part, g) for part in _i_factors(w, i, g))
+
+
+def _i_factors(w: Sequence[int], i: int, g: Graph) -> IForm:
+    """The i-form's factors as subwords of w, before canonicalization.
 
     Factor j holds the positions below the j-th i in the heap order but not
     below the (j-1)-th.  One backward scan gives each i its own index and
-    every other position the least index among the next later occurrences
-    of the letters it does not commute with; a position with none is a final
-    letter other than i.  Works on any representative of the trace.
+    every other position the least index among the later letters it does
+    not commute with (no position below another has the larger index, so a
+    running minimum per letter suffices); a position with none is a final
+    letter other than i.
     """
     dep = g.dependence
-    factors: list[list[int]] = [[] for _ in range(w.count(i))]
-    nxt: dict[int, int] = {}   # factor of the next later occurrence of a letter
-    f = None
+    n = w.count(i)
+    factors: list[list[int]] = [[] for _ in range(n)]
+    low = dict.fromkeys(dep, n)  # n: no later letter it does not commute with
+    f = top = n
     for c in reversed(w):
         if c not in dep:
             raise GraphError(f"unknown letter {c}")
         if c == i:
-            f = nxt.get(i, len(factors)) - 1
+            top -= 1
+            f = top
         else:
-            f = min((nxt[d] for d in dep[c] if d in nxt), default=None)
-            if f is None:
+            f = low[c]
+            if f == n:
                 break
-        nxt[c] = f
+        for d in dep[c]:
+            if f < low[d]:
+                low[d] = f
         factors[f].append(c)
-    if f is None:
+    if f == n:
         raise GraphError(f"word does not have initial alphabet {{{i}}}")
-    return tuple(canonicalize(part[::-1], g) for part in factors)
+    return tuple(tuple(part[::-1]) for part in factors)
 
 
 @lru_cache(maxsize=256)
-def enumerate_weight_words(g: Graph, k: WeightVector) -> tuple[TraceWord, ...]:
-    """All trace-monoid elements of the given weight, as sorted canonical forms.
+def _search(g: Graph, k: WeightVector
+            ) -> tuple[tuple[TraceWord, ...], dict[int, tuple[TraceWord, ...]]]:
+    """All weight-k words as sorted canonical forms, and those whose initial
+    alphabet is a single letter, grouped by that letter.
 
-    Depth-first generation with canonical-prefix pruning: a letter may be
-    appended only if the extended word is still its class's canonical form.
+    Depth-first over the support in ascending order, so the words come out
+    sorted.  Two bitmasks over the support ride along: `blocked`, the letters
+    that would leave the canonical form if appended (a smaller letter stands
+    after their last dependent one), and `final`, the letters whose last
+    occurrence has no dependent letter after it.  Appending c unblocks and
+    unfinalizes its dependence set, and blocks every larger letter; a word's
+    last letter is its single final one when no earlier final letter
+    survives.  A third mask holds the letters with copies left.
     """
     k.check_support(g)
     if k.height > MAX_WORD_HEIGHT:
         raise GraphError(f"height {k.height} exceeds limit {MAX_WORD_HEIGHT}")
-    out: list[TraceWord] = []
-    residual = k.as_dict()
+    letters = k.support
+    bit = {v: 1 << j for j, v in enumerate(letters)}
+    residual = {bit[v]: c for v, c in k.counts}
+    # each letter's bit -> (letter, dependence mask, mask of larger letters)
+    step = {b: (v, sum(bit.get(d, 0) for d in g.dependence[v]), -2 * b)
+            for v, b in bit.items()}
+    words: list[TraceWord] = []
+    groups: dict[int, list[TraceWord]] = {}
     prefix: list[int] = []
-    support = k.support
-    dep = g.dependence
 
-    def extension_canonical(c: int) -> bool:
-        # c may not be movable before any smaller letter: scan back while
-        # independent; hitting a smaller independent letter breaks canonicity.
-        for m in range(len(prefix) - 1, -1, -1):
-            if prefix[m] in dep[c]:
-                return True
-            if c > prefix[m]:
-                return False
-        return True
+    def rec(left: int, blocked: int, final: int, remaining: int):
+        free = remaining & ~blocked
+        while free:
+            b = free & -free   # the least letter not yet tried
+            free ^= b
+            c, dep, larger = step[b]
+            prefix.append(c)
+            if left == 1:
+                w = tuple(prefix)
+                words.append(w)
+                if not final & ~dep:
+                    groups.setdefault(c, []).append(w)
+            else:
+                r = residual[b] = residual[b] - 1
+                rec(left - 1, (blocked | larger) & ~dep, final & ~dep | b,
+                    remaining if r else remaining ^ b)
+                residual[b] = r + 1
+            prefix.pop()
 
-    def rec(left: int):
-        if not left:
-            out.append(tuple(prefix))
-            return
-        for c in support:
-            if residual[c] and extension_canonical(c):
-                residual[c] -= 1
-                prefix.append(c)
-                rec(left - 1)
-                prefix.pop()
-                residual[c] += 1
-
-    rec(k.height)
-    return tuple(sorted(out))
+    if k.height:
+        rec(k.height, 0, 0, sum(residual))
+    else:
+        words.append(())
+    return tuple(words), {i: tuple(ws) for i, ws in groups.items()}
 
 
 @lru_cache(maxsize=256)
-def _words_by_initial_letter(g: Graph, k: WeightVector
-                             ) -> dict[int, tuple[TraceWord, ...]]:
-    """The weight-k words whose initial alphabet is a single letter, grouped
-    by that letter; one initial_alphabet scan per word."""
-    groups: dict[int, list[TraceWord]] = {}
-    for w in enumerate_weight_words(g, k):
-        ia = initial_alphabet(w, g)
-        if len(ia) == 1:
-            groups.setdefault(next(iter(ia)), []).append(w)
-    return {i: tuple(ws) for i, ws in groups.items()}
+def enumerate_weight_words(g: Graph, k: WeightVector) -> tuple[TraceWord, ...]:
+    """All trace-monoid elements of the given weight, as sorted canonical
+    forms."""
+    return _search(g, k)[0]
 
 
 def b_tilde(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
     """Weight-k words whose initial alphabet (as a set) is exactly {i}."""
     if i not in k.support:
         raise GraphError(f"vertex {i} not in the support of k")
-    return list(_words_by_initial_letter(g, k).get(i, ()))
+    return list(_search(g, k)[1].get(i, ()))
 
 
 def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
     """Aperiodic members of b_tilde, one i-form per cyclic rotation class.
     The rotations of an i-form are the i-forms of the other words in its
     class, so the first word of a class in ascending order stands for it,
-    and the class is aperiodic when its m rotations are distinct tuples."""
+    and the class is aperiodic when its m rotations are distinct tuples.
+    Each distinct factor is canonicalized once per call."""
     reps = []
     seen: set[IForm] = set()
+    canonical: dict[TraceWord, TraceWord] = {}
     for w in b_tilde(g, k, i):
-        f = i_form(w, i, g)
+        f = tuple(canonical.get(part) or  # factors are never empty
+                  canonical.setdefault(part, canonicalize(part, g))
+                  for part in _i_factors(w, i, g))
         if f not in seen:
             rotations = {f[r:] + f[:r] for r in range(len(f))}
             seen |= rotations

@@ -246,6 +246,78 @@ def peel_i_form(w, i: int, g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(reversed(factors))
 
 
+def backward_scan_words(g: Graph, k: WeightVector) -> tuple[tuple[int, ...], ...]:
+    """Reference weight-k word list: depth-first with canonical-prefix
+    pruning, where a letter may be appended unless a backward scan over the
+    letters it commutes with meets a smaller one; sorted at the end."""
+    out = []
+    residual = k.as_dict()
+    prefix: list[int] = []
+    dep = g.dependence
+
+    def extension_canonical(c: int) -> bool:
+        for m in range(len(prefix) - 1, -1, -1):
+            if prefix[m] in dep[c]:
+                return True
+            if c > prefix[m]:
+                return False
+        return True
+
+    def rec(left: int):
+        if not left:
+            out.append(tuple(prefix))
+            return
+        for c in k.support:
+            if residual[c] and extension_canonical(c):
+                residual[c] -= 1
+                prefix.append(c)
+                rec(left - 1)
+                prefix.pop()
+                residual[c] += 1
+
+    rec(k.height)
+    return tuple(sorted(out))
+
+
+def initial_letter_groups(g: Graph, k: WeightVector) -> dict[int, list]:
+    """Reference grouping: the backward-scan words whose initial alphabet is
+    one letter, by that letter, found by one initial_alphabet scan each."""
+    groups: dict[int, list] = {}
+    for w in backward_scan_words(g, k):
+        ia = initial_alphabet(w, g)
+        if len(ia) == 1:
+            groups.setdefault(next(iter(ia)), []).append(w)
+    return groups
+
+
+def canonical_commutator(a: dict, b: dict, g: Graph) -> dict:
+    """Reference ab - ba with every product canonicalized."""
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for w, sign in ((canonicalize(wa + wb, g), 1),
+                            (canonicalize(wb + wa, g), -1)):
+                out[w] = out.get(w, 0) + sign * ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def canonical_expand(tree, g: Graph) -> dict:
+    """Reference bracket expansion keyed by canonical words; a leaf trace
+    word expands as the right-normed Lie word on its letters."""
+    if isinstance(tree[0], int):
+        expr = {(tree[-1],): 1}
+        for letter in reversed(tree[:-1]):
+            expr = canonical_commutator({(letter,): 1}, expr, g)
+        return expr
+    return canonical_commutator(canonical_expand(tree[0], g),
+                                canonical_expand(tree[1], g), g)
+
+
+def projection_key(w, parts) -> tuple:
+    """A word's projections onto each part, a tuple of letters."""
+    return tuple(tuple(c for c in w if c in p) for p in parts)
+
+
 def orientation_sinks(o, g: Graph) -> tuple[int, ...]:
     """The vertices of g that are the tail of no directed edge of the
     orientation o, a tuple of (tail, head) pairs."""

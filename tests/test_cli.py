@@ -93,10 +93,12 @@ def test_basis_refuses_overweight_real_vertex(capsys, tmp_path):
     p.write_text(graph_to_json(new_graph([1, 2], kinds={1: "re"},
                                          edges=[(1, 2)])))
     message = "real vertex 1 carries weight 2 > 1"
-    for cmd in ("basis", "mult"):
-        code, out, err = run(capsys, [cmd, "--graph", str(p),
-                                      "--k", "1:2,2:1", "--sink", "2"])
-        assert code == 3 and out == "" and message in err, cmd
+    # mult takes --sink only with --method orientations
+    for argv in (["basis", "--sink", "2"], ["mult"],
+                 ["mult", "--method", "orientations", "--sink", "2"]):
+        code, out, err = run(capsys, [argv[0], "--graph", str(p),
+                                      "--k", "1:2,2:1", *argv[1:]])
+        assert code == 3 and out == "" and message in err, argv
     code, out, _ = run(capsys, ["basis", "--graph", str(p),
                                 "--k", "1:1,2:2", "--sink", "2"])
     assert code == 0 and out == "[[e1,e2],e2]\n"
@@ -266,6 +268,27 @@ def test_exit_code_usage(capsys, showcase_file):
     code, _, err = run(capsys, ["chromatic", "--graph", showcase_file,
                                 "--k", "9:1"])
     assert code == 2 and "undeclared vertex" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["words", "--k", "1:2,2:1,3:1,4:1", "--ia", "1",
+      "--aperiodic-classes", "1"], "--ia and --aperiodic-classes"),
+    (["mult", "--k", "1:1,2:1", "--sink", "1"], "--sink needs"),
+    (["mult", "--k", "1:1,2:1", "--method", "bond", "--sink", "1"],
+     "--sink needs"),
+], ids=["words-ia-with-classes", "mult-sink-moebius", "mult-sink-bond"])
+def test_ignored_options_refused(capsys, showcase_file, argv, message):
+    # an option the command would silently drop is a usage error
+    code, out, err = run(capsys, [argv[0], "--graph", showcase_file,
+                                  *argv[1:]])
+    assert code == 2 and out == "" and message in err
+
+
+def test_sink_with_orientations_still_runs(capsys, showcase_file):
+    code, out, _ = run(capsys, ["mult", "--graph", showcase_file, "--k",
+                                "1:1,2:1", "--method", "orientations",
+                                "--sink", "2"])
+    assert code == 0 and out == "1\n"
 
 
 def test_exit_code_precondition(capsys, tmp_path, showcase_file):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chromalie import (GraphError, WeightVector, b_set, bracket_tree,
+from chromalie import (GraphError, WeightVector, b_set, b_tilde, bracket_tree,
                        c_i_set, expand_bracket, expand_right_normed, is_lyndon,
                        new_graph, render_bracket, right_normed_nonzero,
                        root_multiplicity, standard_factorization,
@@ -10,8 +10,9 @@ from chromalie import (GraphError, WeightVector, b_set, bracket_tree,
 from chromalie import lyndon, trace
 from chromalie.lyndon import exact_rank
 
-from helpers import complete_graph, cycle_graph, fraction_rank, \
-    letter_scan_c_i_set, path_graph, random_graphs
+from helpers import canonical_expand, complete_graph, cycle_graph, \
+    fraction_rank, letter_scan_c_i_set, path_graph, projection_key, \
+    random_graphs
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 SHOWCASE_K = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
@@ -135,6 +136,54 @@ def test_expand_bracket_matches_right_normed_on_combs():
     assert expand_bracket(tree, g) == expand_right_normed((1, 1, 2), g)
 
 
+def test_keyed_expansion_matches_canonical():
+    # every Lyndon bracketing and right-normed b_tilde word on random
+    # graphs: the expansion on projection keys equals the canonical-word
+    # expansion re-keyed, and the public expansions are the canonical ones
+    seen = set()
+    for g in random_graphs(seed=33, count=30, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 2), 5):
+            if k.is_zero:
+                continue
+            key, parts = lyndon._projection_keys(k.support, g)
+            i = k.support[-1]
+            trees = [bracket_tree(seq) for seq in c_i_set(g, k, i)]
+            for tree in trees + b_tilde(g, k, i):
+                expected = canonical_expand(tree, g)
+                public = expand_right_normed(tree, g) \
+                    if isinstance(tree[0], int) else expand_bracket(tree, g)
+                assert public == expected, (g, k, tree)
+                assert lyndon._expand(tree, key) == {
+                    projection_key(w, parts): c
+                    for w, c in expected.items()}, (g, k, tree)
+                seen.add("nonzero" if expected else "zero")
+    assert seen == {"nonzero", "zero"}
+
+
+def test_verify_basis_rank_matches_canonical_rows(monkeypatch):
+    # the rank of the keyed rows is that of the canonical-word rows, and
+    # each distinct key is one object across the rows of a call
+    rank = lyndon.exact_rank
+    shared = []
+
+    def spy(rows):
+        keys = [key for row in rows for key in row]
+        shared.append(len({id(key) for key in keys}) == len(set(keys)))
+        return rank(rows)
+
+    monkeypatch.setattr(lyndon, "exact_rank", spy)
+    checked = 0
+    for g in random_graphs(seed=34, count=25, max_n=4):
+        for k in weight_box(dict.fromkeys(g.vertices, 2), 6):
+            for i in k.support:
+                report = verify_basis(g, k, i)
+                assert report.rank == rank([
+                    canonical_expand(bracket_tree(seq), g)
+                    for seq in report.lyndon]), (g, k, i)
+                checked += report.rank > 0
+    assert checked and all(shared)
+
+
 def _sparse(rows):
     return [dict(enumerate(row)) for row in rows]
 
@@ -203,18 +252,17 @@ def test_verify_basis_refuses_before_searching(monkeypatch):
 
 def test_verify_basis_lists_no_full_weight_words(monkeypatch):
     # With k_i >= 2 the alphabet and b_tilde stay below k, and the rank rows
-    # are sparse, so the weight-k word list is never built.
+    # are sparse, so the word search never runs at weight k.  Every word
+    # list, grouped or not, comes from trace._search.
     g, k = cycle_graph(4), WeightVector.of({1: 1, 2: 2, 3: 1, 4: 1})
     seen = []
-    words = trace.enumerate_weight_words
+    search = trace._search
 
     def spy(g, w):
         seen.append(w)
-        return words(g, w)
+        return search(g, w)
 
-    monkeypatch.setattr(trace, "enumerate_weight_words", spy)
-    if hasattr(lyndon, "enumerate_weight_words"):
-        monkeypatch.setattr(lyndon, "enumerate_weight_words", spy)
+    monkeypatch.setattr(trace, "_search", spy)
     report = verify_basis(g, k, 2)
     assert report.counts_match and report.rank_matches
     assert seen and k not in seen

@@ -9,9 +9,10 @@ from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
                        is_connected_sub, new_graph, trace, weight_box)
 from chromalie.cli import main
 
-from helpers import (complete_graph, cycle_graph, graph_to_json,
-                     greedy_canonicalize, initial_alphabet_set, path_graph,
-                     peel_i_form, random_graphs, strip_initial_alphabet)
+from helpers import (backward_scan_words, complete_graph, cycle_graph,
+                     graph_to_json, greedy_canonicalize, initial_alphabet_set,
+                     initial_letter_groups, path_graph, peel_i_form,
+                     random_graphs, strip_initial_alphabet)
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -163,6 +164,21 @@ def test_enumerate_weight_words_all_canonical():
         assert canonicalize(w, g) == w
 
 
+def test_search_matches_backward_scan():
+    # the two-mask search against the backward-scan search and the per-word
+    # initial_alphabet filter: the same words, groups and order, the zero
+    # weight included
+    weights = 0
+    for g in random_graphs(seed=21, count=40, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 3), 6):
+            words, groups = trace._search(g, k)
+            assert words == backward_scan_words(g, k), (g, k)
+            assert {i: list(ws) for i, ws in groups.items()} == \
+                initial_letter_groups(g, k), (g, k)
+            weights += 1
+    assert weights > 1000
+
+
 def test_b_tilde_showcase():
     k = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
     assert len(b_tilde(SHOWCASE, k, 1)) == 4
@@ -204,23 +220,29 @@ def test_b_tilde_matches_filter_definition():
 
 
 def test_verify_scans_each_word_once(monkeypatch, tmp_path, capsys):
-    # the three-routes and b-recursion checks ask for b_tilde and b_set of
-    # every weight, sink and divisor; each word's initial alphabet is still
-    # computed once
+    # the three-routes, b-recursion and tensor checks ask for b_tilde, b_set
+    # and the word list of every weight, sink and divisor; each weight's
+    # words are still searched once, and that search also groups them by
+    # initial letter, so no word's initial alphabet is scanned
     g = cycle_graph(4)
     path = tmp_path / "c4.json"
     path.write_text(graph_to_json(g))
-    trace._words_by_initial_letter.cache_clear()
+    trace.enumerate_weight_words.cache_clear()
+    trace._search.cache_clear()
     calls: Counter = Counter()
-    scan = trace.initial_alphabet
+    search = trace._search
 
-    def counted(w, graph):
-        calls[tuple(w)] += 1
-        return scan(w, graph)
+    def counted(graph, k):
+        calls[k] += 1
+        return search(graph, k)
 
-    monkeypatch.setattr(trace, "initial_alphabet", counted)
+    def unreached(w, graph):
+        raise AssertionError("initial_alphabet ran during verify")
+
+    monkeypatch.setattr(trace, "_search", counted)
+    monkeypatch.setattr(trace, "initial_alphabet", unreached)
     assert main(["verify", "--graph", str(path), "--max-ht", "5"]) == 0
-    words = {w for k in weight_box(dict.fromkeys(g.vertices, 5), 5)
-             if not k.is_zero for w in enumerate_weight_words(g, k)}
-    assert set(calls) == words
-    assert set(calls.values()) == {1}
+    weights = {k for k in weight_box(dict.fromkeys(g.vertices, 5), 5)
+               if not k.is_zero}
+    assert set(calls) == weights
+    assert search.cache_info().misses == len(weights)
