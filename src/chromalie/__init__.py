@@ -26,10 +26,9 @@ _EXPORTS = {
                "expand_right_normed", "is_lyndon", "render_bracket",
                "right_normed_nonzero", "standard_factorization",
                "verify_basis", "x_i_alphabet"),
-    "hilbert": ("count_compatible_pairs", "independent_set_polynomial",
-                "lcs_ranks", "lcs_ranks_triangle_free", "lucas_value",
-                "ordered_partition_identity_check", "series_table",
-                "trace_dimension_oracle", "uq_dimension"),
+    "hilbert": ("count_compatible_pairs", "lcs_ranks",
+                "lcs_ranks_triangle_free", "ordered_partition_identity_check",
+                "series_table", "trace_dimension_oracle", "uq_dimension"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

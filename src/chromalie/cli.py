@@ -1,11 +1,12 @@
 """Command-line front end: graph ingestion, dispatch, and the cross-check
 verifier.  Exit codes: 0 ok, 1 verification failure, 2 usage error, 3
-precondition error."""
+precondition error, 141 (128 + SIGPIPE) when the reader closed stdout."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Iterable
@@ -16,8 +17,13 @@ from .graphs import Graph, GraphError, WeightVector, complement, \
     graph_from_json, is_connected_sub, is_triangle_free, weight_box
 
 MAX_HEIGHT = 12
+# lcs-ranks on C5, C10, P10 and K10 at this --max-k takes 0.5-1.1 s CPU
+# (Python 3.11.7, 2-vCPU VM).  K10's N_k has k + 1 digits, so the cap also
+# stays below Python's default 4,300-digit limit on printing an int.
+MAX_K = 4000
 MAX_VERTICES = 10
 MAX_RECIPROCITY_WORK = 10 ** 7  # q * 3^n subset-convolution steps
+CLOSED_PIPE = 141  # the exit status of a process that SIGPIPE ended
 SCHEMA = "1"
 # The verify checks in run order: --skip-<flag> -> name in failure records.
 VERIFY_CHECKS = {"chromatic": "chromatic-oracle", "mult": "mult-three-routes",
@@ -404,22 +410,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        g = load_graph(args.graph)
-        k = parse_weight_spec(args.k, g) if "k" in args else None
-        check_limits(g, k)
-        if getattr(args, "max_ht", 0) > MAX_HEIGHT:
-            raise GraphError(
-                f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
-        return args.func(args, g, k)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        try:
+            args = build_parser().parse_args(argv)
+            g = load_graph(args.graph)
+            k = parse_weight_spec(args.k, g) if "k" in args else None
+            check_limits(g, k)
+            if getattr(args, "max_ht", 0) > MAX_HEIGHT:
+                raise GraphError(
+                    f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
+            if getattr(args, "max_k", 0) > MAX_K:
+                raise GraphError(
+                    f"max_k {args.max_k} exceeds the limit {MAX_K}")
+            return args.func(args, g, k)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except GraphError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at /dev/null, so that the flush
+        # at interpreter exit has nowhere to fail.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # stdout is no file
+            pass
+        return CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, coded_box, complement, \
     is_triangle_free, weight_box
 from .multiplicity import acyclic_counts, moebius_invert
-from .polynomials import QPolynomial
 
 
 def uq_dimension(g: Graph, k: WeightVector, q: int) -> int:
@@ -89,63 +88,33 @@ def _convolve_at(f: list[int], a: list[int], s: int) -> int:
     return total
 
 
-def independent_set_polynomial(g: Graph) -> QPolynomial:
-    """Counts of independent sets by size, as a polynomial (constant term 1)."""
-    counts = [0] * (len(g.vertices) + 1)
-    for s, sign in enumerate(g.independent_signs):
-        counts[s.bit_count()] += abs(sign)
-    return QPolynomial.of(counts)
-
-
-def _log_series(coeffs: list[Fraction], max_k: int) -> list[Fraction]:
-    """Coefficients 1..max_k of L = -log(U), U = 1 + sum coeffs[j] X^j, by
-    U L' = -U': n L_n = -(n u_n + sum over 0 < j < n of j L_j u_(n-j))."""
-    u = [Fraction(c) for c in coeffs[:max_k + 1]]
-    u += [Fraction(0)] * (max_k + 1 - len(u))
-    log = [Fraction(0)] * (max_k + 1)
-    for n in range(1, max_k + 1):
-        log[n] = -(n * u[n] + sum(j * log[j] * u[n - j]
-                                  for j in range(1, n))) / n
-    return log[1:]
-
-
 def lcs_ranks(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     """Pairs (N_k, M_k) for k = 1..max_k from the alternating independent-set
-    polynomial: N_k are the coefficients of its negated logarithm, and the
-    integers M_k follow by Moebius inversion (graded ranks by bracket length)."""
+    polynomial U = sum over independent S of (-X)^|S|: N_k are the
+    coefficients of -log U, and the integers M_k follow by Moebius inversion
+    (graded ranks by bracket length).  U L' = -U' for L = -log U gives
+    Newton's identities for a_n = n N_n,
+    a_n = -(n u_n + sum over 0 < j < n of u_j a_(n-j)),
+    with u_j = 0 above the independence number alpha: O(max_k * alpha)."""
     g.check_imaginary()
     if max_k < 1:
         raise GraphError("max_k must be positive")
-    isp = independent_set_polynomial(g)
-    alternating = [((-1) ** j) * isp.coefficient(j)
-                   for j in range(isp.degree + 1)]
-    return _ranks(_log_series(alternating, max_k))
-
-
-def _ranks(n_values: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Pairs (N_k, M_k) with M_k = sum over d | k of mu(d)/d * N_{k/d}."""
-    return [(n_values[k - 1],
-             moebius_invert(k, lambda d: n_values[k // d - 1]))
-            for k in range(1, len(n_values) + 1)]
-
-
-def lucas_value(ell: int, s: int, t: int) -> int:
-    """Two-variable Lucas value by the recurrence <l> = s<l-1> + t<l-2>,
-    <0> = 2, <1> = s."""
-    if ell < 0:
-        raise GraphError("ell must be non-negative")
-    prev, cur = 2, s
-    if ell == 0:
-        return prev
-    for _ in range(ell - 1):
-        prev, cur = cur, s * cur + t * prev
-    return cur
+    u: dict[int, int] = {}  # the nonzero u_j, j > 0
+    for s, sign in enumerate(g.independent_signs):
+        if s and sign:
+            u[s.bit_count()] = u.get(s.bit_count(), 0) - sign
+    a = [0]
+    for n in range(1, max_k + 1):
+        a.append(-n * u.get(n, 0) - sum(c * a[n - j] for j, c in u.items()
+                                        if j < n))
+    return _ranks(a)
 
 
 def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     """Lucas-polynomial closed form for the ranks, valid when the complement
-    graph is triangle free: N_k = <k>_{v,-e}/k with v, e the complement's
-    vertex and edge counts."""
+    graph is triangle free: a_k = k N_k = <k>_{v,-e} with v, e the
+    complement's vertex and edge counts, from one pass of the recurrence
+    <l> = v<l-1> - e<l-2>, <0> = 2, <1> = v."""
     g.check_imaginary()
     if max_k < 1:
         raise GraphError("max_k must be positive")
@@ -153,8 +122,18 @@ def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     if not is_triangle_free(comp):
         raise GraphError("complement graph has a triangle")
     v, e = len(comp.vertices), len(comp.edges)
-    return _ranks([Fraction(lucas_value(k, v, -e), k)
-                   for k in range(1, max_k + 1)])
+    a = [2, v]
+    while len(a) <= max_k:
+        a.append(v * a[-1] - e * a[-2])
+    return _ranks(a)
+
+
+def _ranks(a: list[int]) -> list[tuple[Fraction, int]]:
+    """Pairs (N_k, M_k) for k = 1..len(a) - 1 from a_k = k N_k (a[0] is not
+    read), with M_k = sum over d | k of mu(d)/d * N_(k/d)."""
+    values = [Fraction(x, k) for k, x in enumerate(a) if k]
+    return [(values[k - 1], moebius_invert(k, lambda d: values[k // d - 1]))
+            for k in range(1, len(a))]
 
 
 def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:

@@ -15,7 +15,7 @@ from operator import add
 from .graphs import (Graph, GraphError, Value, WeightVector, coded_box,
                      weight_box)
 from .multiplicity import _check_real_constraint, root_multiplicity
-from .trace import TraceWord, b_tilde, initial_alphabet
+from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
 LyndonSeq = tuple[TraceWord, ...]
 # A bracket tree is either a leaf (a trace word, i.e. tuple of ints) or a
@@ -133,7 +133,8 @@ def _commutator(a: dict[Key, int], b: dict[Key, int]) -> dict[Key, int]:
 
 
 def _expand(tree, key: dict[int, Key]) -> dict[Key, int]:
-    """A bracket tree expanded on projection keys; a leaf trace word is the
+    """A bracket tree expanded on the keys of its letters (projection keys,
+    or one-part keys, which are plain words); a leaf trace word is the
     right-normed Lie word on its letters."""
     if isinstance(tree[0], int):
         expr = {key[tree[-1]]: 1}
@@ -144,29 +145,6 @@ def _expand(tree, key: dict[int, Key]) -> dict[Key, int]:
     return _commutator(_expand(left, key), _expand(right, key))
 
 
-def _canonical(expr: dict[Key, int], parts: list[tuple[int, ...]]) -> LieExpr:
-    """Rewrite each key as its canonical form: repeatedly emit the largest
-    letter that heads every projection it belongs to, which is the largest
-    piece resting on nothing, as canonicalize picks it."""
-    heads = [(c, [j for j, p in enumerate(parts) if c in p])
-             for c in sorted({c for p in parts for c in p}, reverse=True)]
-    out: LieExpr = {}
-    for key, coeff in expr.items():
-        at = [0] * len(parts)   # how much of each projection is emitted
-        word = []
-        while True:
-            for c, js in heads:
-                if all(at[j] < len(key[j]) and key[j][at[j]] == c for j in js):
-                    break
-            else:
-                break
-            word.append(c)
-            for j in js:
-                at[j] += 1
-        out[tuple(word)] = coeff
-    return out
-
-
 def expand_right_normed(word, g: Graph) -> LieExpr:
     """Expansion of [e_{i1},[e_{i2},...[e_{i_{r-1}},e_{ir}]..]] in the trace
     algebra (valid model of the enveloping algebra when all vertices are
@@ -174,18 +152,19 @@ def expand_right_normed(word, g: Graph) -> LieExpr:
     return expand_bracket(tuple(word), g)
 
 
-def _leaves(tree) -> TraceWord:
-    return tree if isinstance(tree[0], int) else \
-        _leaves(tree[0]) + _leaves(tree[1])
-
-
 def expand_bracket(tree, g: Graph) -> LieExpr:
-    """Expand a bracket tree (leaves expand as right-normed Lie words),
-    keyed by canonical forms; each distinct key is rewritten once, at the
-    end."""
+    """Expand a bracket tree (leaves expand as right-normed Lie words) on
+    words, each a one-part key, then merge the words by canonical form."""
     g.check_imaginary()
-    key, parts = _projection_keys(_leaves(tree), g)
-    return _canonical(_expand(tree, key), parts)
+    try:
+        expr = _expand(tree, {c: ((c,),) for c in g.dependence})
+    except KeyError as exc:
+        raise GraphError(f"unknown letter {exc.args[0]}") from None
+    out: LieExpr = {}
+    for (word,), coeff in expr.items():
+        w = canonicalize(word, g)
+        out[w] = out.get(w, 0) + coeff
+    return {w: c for w, c in out.items() if c}
 
 
 def exact_rank(rows: list[dict]) -> int:

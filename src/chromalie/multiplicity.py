@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from operator import add
 from typing import Callable, Mapping
 
@@ -39,12 +39,15 @@ def moebius(n: int) -> int:
 
 def moebius_invert(n: int, f: Callable[[int], Fraction | int]) -> int:
     """Sum of mu(d)/d * f(d) over the divisors d of n, which must come out a
-    non-negative integer; f is only called where mu(d) != 0."""
+    non-negative integer; f is only called where mu(d) != 0.  The divisors
+    come in pairs (d, n/d) with d <= sqrt(n)."""
     total = Fraction(0)
-    for d in range(1, n + 1):
-        mu = moebius(d) if n % d == 0 else 0
-        if mu:
-            total += Fraction(mu, d) * f(d)
+    for low in range(1, isqrt(n) + 1):
+        if n % low == 0:
+            for d in {low, n // low}:
+                mu = moebius(d)
+                if mu:
+                    total += Fraction(mu, d) * f(d)
     if total.denominator != 1 or total < 0:
         raise GraphError(f"Moebius inversion over the divisors of {n} gave "
                          f"{total}, not a non-negative integer")

@@ -481,7 +481,8 @@ def has_integer_coefficients(p: QPolynomial) -> bool:
 
 def lucas_value_closed(ell: int, s: int, t: int) -> int:
     """Closed-sum form of the two-variable Lucas value <l>_{s,t}; reference
-    for the recurrence in hilbert.lucas_value."""
+    for the recurrence <l> = s<l-1> + t<l-2>, <0> = 2, <1> = s, that
+    hilbert.lcs_ranks_triangle_free runs."""
     if ell < 0:
         raise GraphError("ell must be non-negative")
     if ell == 0:
@@ -493,3 +494,45 @@ def lucas_value_closed(ell: int, s: int, t: int) -> int:
     if total.denominator != 1:
         raise GraphError(f"non-integral Lucas value {total}")
     return int(total)
+
+
+def independent_set_counts(g: Graph) -> list[int]:
+    """Number of independent sets of each size 0..n, by testing every
+    vertex subset."""
+    n = len(g.vertices)
+    return [sum(is_independent(g, s) for s in combinations(g.vertices, j))
+            for j in range(n + 1)]
+
+
+def log_series(coeffs: list, max_k: int) -> list[Fraction]:
+    """Coefficients 1..max_k of L = -log(U), U = 1 + sum coeffs[j] X^j, by
+    U L' = -U': n L_n = -(n u_n + sum over 0 < j < n of j L_j u_(n-j))."""
+    u = [Fraction(c) for c in coeffs[:max_k + 1]]
+    u += [Fraction(0)] * (max_k + 1 - len(u))
+    log = [Fraction(0)] * (max_k + 1)
+    for n in range(1, max_k + 1):
+        log[n] = -(n * u[n] + sum(j * log[j] * u[n - j]
+                                  for j in range(1, n))) / n
+    return log[1:]
+
+
+def moebius_sum(n: int, f) -> Fraction:
+    """Sum of mu(d)/d * f(d) over every d in 1..n that divides n."""
+    return sum((Fraction(moebius(d), d) * f(d)
+                for d in range(1, n + 1) if n % d == 0), Fraction(0))
+
+
+def log_series_ranks(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
+    """Reference (N_k, M_k), k = 1..max_k: N_k the coefficients of -log of
+    the alternating independent-set polynomial, M_k = moebius_sum over
+    N_(k/d)."""
+    alternating = [(-1) ** j * c
+                   for j, c in enumerate(independent_set_counts(g))]
+    values = log_series(alternating, max_k)
+    ranks = []
+    for k in range(1, max_k + 1):
+        m = moebius_sum(k, lambda d: values[k // d - 1])
+        if m.denominator != 1:
+            raise GraphError(f"non-integral rank {m} at k = {k}")
+        ranks.append((values[k - 1], int(m)))
+    return ranks

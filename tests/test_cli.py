@@ -1,13 +1,21 @@
 import hashlib
 import importlib
+import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from chromalie.cli import main, parse_weight_spec, UsageError
+from chromalie import hilbert
+from chromalie.cli import CLOSED_PIPE, MAX_K, main, parse_weight_spec, \
+    UsageError
 from chromalie import QPolynomial, new_graph, weight_box, is_connected_sub
 
 from helpers import graph_to_json
@@ -240,6 +248,74 @@ def test_lcs_ranks_command(capsys, tmp_path):
         code, out, err = run(capsys, ["lcs-ranks", "--graph", str(p),
                                       "--max-k", "0"] + extra)
         assert code == 3 and out == "" and "max_k must be positive" in err
+
+
+def test_lcs_ranks_cap(capsys, monkeypatch, showcase_file):
+    # refused before the command starts; at the cap it runs
+    calls = []
+
+    def record(g, max_k):
+        calls.append(max_k)
+        return [(Fraction(1), 1)]
+
+    for name in ("lcs_ranks", "lcs_ranks_triangle_free"):
+        monkeypatch.setattr(hilbert, name, record)
+    for extra in ([], ["--triangle-free"]):
+        code, out, err = run(capsys, ["lcs-ranks", "--graph", showcase_file,
+                                      "--max-k", str(MAX_K + 1)] + extra)
+        assert code == 3 and out == "" and not calls
+        assert err == f"error: max_k {MAX_K + 1} exceeds the limit " \
+            f"{MAX_K}\n"
+        code, out, _ = run(capsys, ["lcs-ranks", "--graph", showcase_file,
+                                    "--max-k", str(MAX_K)] + extra)
+        assert code == 0 and calls.pop() == MAX_K
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone, on the first write or at the flush."""
+
+    def __init__(self, on_write: bool):
+        super().__init__()
+        self.on_write = on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["lcs-ranks", "--max-k", "12", "--json"],
+    ["verify", "--max-ht", "1"],
+], ids=["lcs-ranks", "verify"])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, showcase_file,
+                                     argv, on_write):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(on_write))
+    code = main(argv[:1] + ["--graph", showcase_file] + argv[1:])
+    assert code == CLOSED_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_process(tmp_path):
+    # a reader that stops after one line: no traceback, exit status 141,
+    # also through the flush at interpreter exit
+    graph = tmp_path / "c5.json"
+    graph.write_text(graph_to_json(new_graph(
+        range(1, 6), edges=[(v, v % 5 + 1) for v in range(1, 6)])))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chromalie.cli", "lcs-ranks", "--graph",
+         str(graph), "--max-k", "1000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"k=1 N=5 M=5\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == CLOSED_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_reciprocity_command(capsys, showcase_file):

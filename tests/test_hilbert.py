@@ -6,18 +6,18 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromalie import (GraphError, WeightVector, count_compatible_pairs,
-                       enumerate_acyclic_orientations,
-                       enumerate_weight_words, independent_set_polynomial,
-                       lcs_ranks, lcs_ranks_triangle_free, lucas_value,
-                       new_graph,
+from chromalie import (GraphError, WeightVector, complement,
+                       count_compatible_pairs, enumerate_acyclic_orientations,
+                       enumerate_weight_words, is_triangle_free, lcs_ranks,
+                       lcs_ranks_triangle_free, new_graph,
                        ordered_partition_identity_check, series_table,
                        trace_dimension_oracle, uq_dimension, weight_box)
 
 from chromalie.hilbert import _ordered_weight_partitions
 
-from helpers import complete_graph, cycle_graph, lucas_value_closed, \
-    path_graph, random_graphs, small_graphs
+from helpers import complete_graph, cycle_graph, independent_set_counts, \
+    log_series_ranks, lucas_value_closed, path_graph, random_graphs, \
+    small_graphs
 
 
 def test_uq_dimension_q1_is_trace_count():
@@ -88,10 +88,9 @@ def test_reciprocity_small():
             assert count_compatible_pairs(g, q) == signed
 
 
-def test_independent_set_polynomial():
-    p = independent_set_polynomial(path_graph(3))
-    # sizes: 1 empty, 3 singletons, one pair {1,3}
-    assert [p.coefficient(j) for j in range(3)] == [1, 3, 1]
+def test_independent_set_counts():
+    # sizes: 1 empty, 3 singletons, one pair {1,3}, no triple
+    assert independent_set_counts(path_graph(3)) == [1, 3, 1, 0]
 
 
 def test_lcs_ranks_path():
@@ -103,7 +102,6 @@ def test_lcs_ranks_path():
 
 def test_lcs_ranks_triangle_free_route_agrees():
     for g in (path_graph(3), complete_graph(3), cycle_graph(4)):
-        from chromalie import complement, is_triangle_free
         if not is_triangle_free(complement(g)):
             continue
         assert lcs_ranks(g, 6) == lcs_ranks_triangle_free(g, 6)
@@ -117,14 +115,32 @@ def test_lcs_ranks_triangle_free_requires_it():
 
 def test_lucas_values():
     # <l>_{1,1} are the classical Lucas numbers
-    assert [lucas_value(l, 1, 1) for l in range(8)] == \
+    assert [lucas_value_closed(l, 1, 1) for l in range(8)] == \
         [2, 1, 3, 4, 7, 11, 18, 29]
-    for l in range(9):
-        for s in (1, 3, 5):
-            for t in (-2, -1, 1):
-                assert lucas_value(l, s, t) == lucas_value_closed(l, s, t)
     with pytest.raises(GraphError):
-        lucas_value(-1, 1, 1)
+        lucas_value_closed(-1, 1, 1)
+    # the Lucas pass of lcs_ranks_triangle_free: k N_k = <k>_{v,-e}
+    graphs = [complete_graph(1), complete_graph(4), path_graph(3),
+              cycle_graph(4), cycle_graph(5), path_graph(4)]
+    for g in graphs:
+        comp = complement(g)
+        v, e = len(comp.vertices), len(comp.edges)
+        ranks = lcs_ranks_triangle_free(g, 40)
+        assert [k * n for k, (n, _) in enumerate(ranks, 1)] == \
+            [lucas_value_closed(k, v, -e) for k in range(1, 41)], g.edges
+
+
+def test_lcs_ranks_match_log_series_reference():
+    # Newton's identities and the Lucas pass against the Fraction series
+    # of -log U, with the ranks inverted over every d in 1..k
+    triangle_free = 0
+    for g in random_graphs(seed=19, count=30, max_n=8):
+        expected = log_series_ranks(g, 60)
+        assert lcs_ranks(g, 60) == expected, g
+        if is_triangle_free(complement(g)):
+            triangle_free += 1
+            assert lcs_ranks_triangle_free(g, 60) == expected, g
+    assert triangle_free >= 5
 
 
 def test_series_table():

@@ -14,8 +14,8 @@ from chromalie.graphs import join_graph, weight_box
 from chromalie.multiplicity import _unique_sink_counts
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    orientation_sinks, partition_product_expansion, path_graph, \
-    random_graphs, recursive_bond_lattice, witt_mult
+    moebius_sum, orientation_sinks, partition_product_expansion, \
+    path_graph, random_graphs, recursive_bond_lattice, witt_mult
 
 
 def test_moebius_values():
@@ -33,6 +33,30 @@ def test_moebius_invert():
         moebius_invert(2, lambda d: 1)  # 1 - 1/2
     with pytest.raises(GraphError):
         moebius_invert(2, lambda d: 2 * d * d)  # 2 - 4
+
+
+def test_moebius_invert_matches_brute_force():
+    # the divisor-pair walk against the sum over every d in 1..n, with f
+    # called once at each squarefree divisor; 12, 30 and 36 have divisors
+    # on both sides of sqrt(n), and 36 = 6^2 pairs 6 with itself
+    rng = random.Random(60)
+    for n in range(1, 61):
+        for f in ({d: d * rng.randint(-3, 9) for d in range(1, n + 1)},
+                  {d: rng.randint(0, 2 * n) for d in range(1, n + 1)}):
+            calls = []
+
+            def value(d):
+                calls.append(d)
+                return f[d]
+
+            expected = moebius_sum(n, f.__getitem__)
+            if expected.denominator == 1 and expected >= 0:
+                assert moebius_invert(n, value) == expected, (n, f)
+            else:
+                with pytest.raises(GraphError):
+                    moebius_invert(n, value)
+            assert sorted(calls) == [d for d in range(1, n + 1)
+                                     if n % d == 0 and moebius(d)], n
 
 
 def test_tuple_divisors():
