@@ -17,9 +17,9 @@ _EXPORTS = {
                   "coloring_count_oracle", "ordered_partition_counts"),
     "multiplicity": ("acyclic_counts", "bond_lattice",
                      "chromatic_via_bond_lattice", "count_unique_sink",
-                     "enumerate_acyclic_orientations", "moebius",
-                     "moebius_invert", "mult_via_orientations",
-                     "root_multiplicity", "tuple_divisors"),
+                     "enumerate_acyclic_orientations", "moebius_invert",
+                     "mult_via_orientations", "root_multiplicity",
+                     "tuple_divisors"),
     "trace": ("b_set", "b_tilde", "canonicalize", "enumerate_weight_words",
               "i_form", "initial_alphabet"),
     "lyndon": ("bracket_tree", "c_i_set", "expand_bracket",

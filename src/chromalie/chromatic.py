@@ -8,16 +8,14 @@ with closed forms for complete graphs and trees and a brute-force oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
-from operator import sub
+from operator import add, sub
 from typing import Callable
 
 from .graphs import Graph, GraphError, WeightVector
-from .polynomials import ONE, QPolynomial, falling_binomial, \
-    times_scaled_falling
+from .polynomials import QPolynomial, binomial_product, times_scaled_falling
 
 
 @lru_cache(maxsize=32)
@@ -69,9 +67,8 @@ def chromatic_poly(g: Graph, k: WeightVector) -> QPolynomial:
     for length, n in ordered_partition_counts(g, k).items():
         term = times_scaled_falling(
             [n * (factorial(ht) // factorial(length))], 1, length)
-        for power, c in enumerate(term):
-            total[power] += c
-    return QPolynomial.of([Fraction(c, factorial(ht)) for c in total])
+        total[:len(term)] = map(add, total, term)
+    return QPolynomial.of(total, factorial(ht))
 
 
 def chromatic_complete(k: list[int]) -> QPolynomial:
@@ -81,12 +78,7 @@ def chromatic_complete(k: list[int]) -> QPolynomial:
         raise GraphError("complete-graph weight list must be nonempty")
     if any(c <= 0 for c in k):
         raise GraphError("complete-graph weights must be positive")
-    total = ONE
-    used = 0
-    for c in k:
-        total = total * falling_binomial(-used, c)
-        used += c
-    return total
+    return binomial_product(zip(accumulate(k, sub, initial=0), k))
 
 
 def chromatic_tree(g: Graph, k: WeightVector) -> QPolynomial:
@@ -100,7 +92,7 @@ def chromatic_tree(g: Graph, k: WeightVector) -> QPolynomial:
     if len(sub.edges) != n - 1:
         raise GraphError("support subgraph is not a tree")
     remaining = set(sub.vertices)
-    total = ONE
+    factors = []
     while len(remaining) > 1:
         leaves = sorted(v for v in remaining
                         if sum(u in remaining for u in sub.neighbors(v)) == 1)
@@ -108,10 +100,9 @@ def chromatic_tree(g: Graph, k: WeightVector) -> QPolynomial:
             raise GraphError("support subgraph is not a tree")
         leaf = leaves[0]
         parent = next(u for u in sub.neighbors(leaf) if u in remaining)
-        total = total * falling_binomial(-k.get(parent), k.get(leaf))
+        factors.append((-k.get(parent), k.get(leaf)))
         remaining.remove(leaf)
-    last = remaining.pop()
-    return total * falling_binomial(0, k.get(last))
+    return binomial_product([*factors, (0, k.get(remaining.pop()))])
 
 
 def coloring_count_oracle(g: Graph, k: WeightVector, q: int) -> int:

@@ -21,6 +21,9 @@ MAX_HEIGHT = 12
 # (Python 3.11.7, 2-vCPU VM).  K10's N_k has k + 1 digits, so the cap also
 # stays below Python's default 4,300-digit limit on printing an int.
 MAX_K = 4000
+# A value at q of a polynomial of degree h has about h times the digits of q;
+# this bound on digits(q) * h keeps every printed value under that limit.
+MAX_VALUE_DIGITS = 4000
 MAX_VERTICES = 10
 MAX_RECIPROCITY_WORK = 10 ** 7  # q * 3^n subset-convolution steps
 CLOSED_PIPE = 141  # the exit status of a process that SIGPIPE ended
@@ -66,15 +69,34 @@ def load_graph(path: str) -> Graph:
         raise GraphError(f"graph file is not UTF-8 text: {exc}") from None
 
 
-def check_limits(g: Graph, k: WeightVector | None) -> None:
-    if len(g.vertices) > MAX_VERTICES:
+def check_limits(args, g: Graph, k: WeightVector | None) -> None:
+    """Refuse a request past one of the fixed bounds before any work."""
+    n = len(g.vertices)
+    if n > MAX_VERTICES:
         raise GraphError(
-            f"graph has {len(g.vertices)} vertices; enumerative commands are "
+            f"graph has {n} vertices; enumerative commands are "
             f"limited to {MAX_VERTICES} (search space grows exponentially)")
     if k is not None and k.height > MAX_HEIGHT:
         raise GraphError(
             f"weight height {k.height} exceeds limit {MAX_HEIGHT}; roughly "
             f"{k.height}! = huge enumeration states")
+    max_ht = getattr(args, "max_ht", 0)
+    if max_ht > MAX_HEIGHT:
+        raise GraphError(f"height bound {max_ht} exceeds {MAX_HEIGHT}")
+    if getattr(args, "max_k", 0) > MAX_K:
+        raise GraphError(f"max_k {args.max_k} exceeds the limit {MAX_K}")
+    if args.command == "reciprocity" and \
+            (work := args.q * 3 ** n) > MAX_RECIPROCITY_WORK:
+        raise GraphError(f"reciprocity work q*3^n = {work} (n = "
+                         f"{n}) exceeds {MAX_RECIPROCITY_WORK}")
+    q, height = (args.eval, k.height) if args.command == "chromatic" \
+        else (getattr(args, "q", None), max_ht)
+    if q is not None and (digits := len(str(abs(q)))) * height > \
+            MAX_VALUE_DIGITS:
+        raise GraphError(
+            f"q has {digits} digits at height {height}: digits x height = "
+            f"{digits * height} exceeds {MAX_VALUE_DIGITS}, which keeps "
+            f"values under Python's 4300-digit limit on printing an int")
 
 
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
@@ -225,10 +247,6 @@ def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> int:
 
 def cmd_reciprocity(args, g: Graph, k: WeightVector | None) -> int:
     from . import chromatic, hilbert
-    work = args.q * 3 ** len(g.vertices)
-    if work > MAX_RECIPROCITY_WORK:
-        raise GraphError(f"reciprocity work q*3^n = {work} (n = "
-                         f"{len(g.vertices)}) exceeds {MAX_RECIPROCITY_WORK}")
     pairs = hilbert.count_compatible_pairs(g, args.q)
     k = WeightVector.ones(g.vertices)
     signed = (-1) ** len(g.vertices) * chromatic.chromatic_poly(g, k).eval(-args.q)
@@ -415,13 +433,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             g = load_graph(args.graph)
             k = parse_weight_spec(args.k, g) if "k" in args else None
-            check_limits(g, k)
-            if getattr(args, "max_ht", 0) > MAX_HEIGHT:
-                raise GraphError(
-                    f"height bound {args.max_ht} exceeds {MAX_HEIGHT}")
-            if getattr(args, "max_k", 0) > MAX_K:
-                raise GraphError(
-                    f"max_k {args.max_k} exceeds the limit {MAX_K}")
+            check_limits(args, g, k)
             return args.func(args, g, k)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)

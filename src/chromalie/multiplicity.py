@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, prod
+from math import factorial, prod
 from operator import add
 from typing import Callable, Mapping
 
@@ -20,34 +20,23 @@ from .graphs import (Graph, GraphError, REAL, WeightVector, coded_box,
 from .polynomials import QPolynomial, times_scaled_falling
 
 
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("moebius needs a positive integer")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def moebius_invert(n: int, f: Callable[[int], Fraction | int]) -> int:
     """Sum of mu(d)/d * f(d) over the divisors d of n, which must come out a
-    non-negative integer; f is only called where mu(d) != 0.  The divisors
-    come in pairs (d, n/d) with d <= sqrt(n)."""
-    total = Fraction(0)
-    for low in range(1, isqrt(n) + 1):
-        if n % low == 0:
-            for d in {low, n // low}:
-                mu = moebius(d)
-                if mu:
-                    total += Fraction(mu, d) * f(d)
+    non-negative integer.  mu(d) is 0 unless d is a product of distinct
+    primes p of n, where it is (-1)^(number of primes); so n is factored once,
+    by trial division, and f is called only at those products."""
+    if n < 1:
+        raise ValueError("moebius_invert needs a positive integer")
+    signed, rest, p = [(1, 1)], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            signed += [(d * p, -mu) for d, mu in signed]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    total = sum((Fraction(mu, d) * f(d) for d, mu in signed), Fraction(0))
     if total.denominator != 1 or total < 0:
         raise GraphError(f"Moebius inversion over the divisors of {n} gave "
                          f"{total}, not a non-negative integer")
@@ -141,9 +130,8 @@ def bond_table(g: Graph, bounds: Mapping[int, int],
                     acc = table.setdefault(t, [0] * (height[t] + 1))
                     acc[:len(term)] = map(add, acc, [scale * c for c in term])
                     r, t = r + 1, t + step
-    return {w: QPolynomial.of([Fraction((-1) ** w.height * c, fact[w.height])
-                               for c in table.get(code, ())])
-            for w, code in box}
+    return {w: QPolynomial.of(table.get(code, ()), (-1) ** w.height *
+                              fact[w.height]) for w, code in box}
 
 
 def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:

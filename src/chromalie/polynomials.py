@@ -31,17 +31,13 @@ class QPolynomial(Value):
         self.coeffs = coeffs
 
     @classmethod
-    def of(cls, coeffs) -> "QPolynomial":
-        return cls(_trim(Fraction(c) for c in coeffs))
+    def of(cls, coeffs, denominator: int = 1) -> "QPolynomial":
+        """The polynomial with coefficients c / denominator, constant first."""
+        return cls(_trim(Fraction(c, denominator) for c in coeffs))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
@@ -66,12 +62,6 @@ class QPolynomial(Value):
                 out[i + j] += a * b
         return QPolynomial(_trim(out))
 
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return ZERO
-        return QPolynomial(tuple(a * c for a in self.coeffs))
-
     def eval(self, x) -> Fraction:
         a, b = Fraction(x).as_integer_ratio()
         d = lcm(*(c.denominator for c in self.coeffs))
@@ -86,31 +76,35 @@ class QPolynomial(Value):
 
 
 ZERO = QPolynomial(())
-ONE = QPolynomial((Fraction(1),))
 
 
-def falling_binomial(offset: int, k: int) -> QPolynomial:
-    """Binomial coefficient C(q + offset, k) as a degree-k polynomial in q."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    p = ONE
-    for j in range(k):
-        p = p * QPolynomial.of([offset - j, 1])
-    return p.scale(Fraction(1, factorial(k)))
-
-
-def times_scaled_falling(coeffs: list[int], m: int, r: int) -> list[int]:
+def times_scaled_falling(coeffs: list[int], m: int, r: int,
+                         offset: int = 0) -> list[int]:
     """Integer coefficients (constant first) of coeffs(q) times the falling
-    factorial (m*q)(m*q - 1)...(m*q - r + 1)."""
+    factorial (m*q + offset)(m*q + offset - 1)...(m*q + offset - r + 1)."""
     for j in range(r):
-        coeffs = [m * b - j * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs = [m * b + (offset - j) * a
+                  for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
-def scaled_binomial(m: int, k: int) -> QPolynomial:
-    """Binomial coefficient C(m*q, k) as a degree-k polynomial in q."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return QPolynomial.of(times_scaled_falling([1], m, k)).scale(
-        Fraction(1, factorial(k)))
+def binomial_product(factors) -> QPolynomial:
+    """The product of C(q + offset, size) over the (offset, size) factors,
+    assembled in integers over the one denominator, the product of size!."""
+    coeffs, denominator = [1], 1
+    for offset, size in factors:
+        coeffs = times_scaled_falling(coeffs, 1, size, offset)
+        denominator *= factorial(size)
+    return QPolynomial.of(coeffs, denominator)
 
+
+def falling_binomial(offset: int, k: int) -> QPolynomial:
+    """Binomial coefficient C(q + offset, k) as a degree-k polynomial in q;
+    a negative k raises ValueError, from factorial."""
+    return binomial_product([(offset, k)])
+
+
+def scaled_binomial(m: int, k: int) -> QPolynomial:
+    """Binomial coefficient C(m*q, k) as a degree-k polynomial in q;
+    a negative k raises ValueError, from factorial."""
+    return QPolynomial.of(times_scaled_falling([1], m, k), factorial(k))

@@ -14,7 +14,6 @@ from chromalie import Graph, GraphError, WeightVector, canonicalize, \
     enumerate_independent_sets, initial_alphabet, is_connected_sub, \
     is_lyndon, new_graph, root_multiplicity, x_i_alphabet
 from chromalie.graphs import weight_box
-from chromalie.multiplicity import moebius
 from chromalie.polynomials import QPolynomial, falling_binomial, \
     scaled_binomial
 
@@ -137,6 +136,37 @@ def full_support_weights(g: Graph, max_ht: int):
 
     if len(verts) <= max_ht:
         yield from rec(0, [], 0)
+
+
+ONE = QPolynomial((Fraction(1),))
+
+
+def moebius(n: int) -> int:
+    """The Moebius function, by trial division."""
+    if n < 1:
+        raise ValueError("moebius needs a positive integer")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def scale(p: QPolynomial, c) -> QPolynomial:
+    """The polynomial p times the number c."""
+    return QPolynomial.of([a * Fraction(c) for a in p.coeffs])
+
+
+def degree(p: QPolynomial) -> int:
+    """Degree, with the zero polynomial assigned -1."""
+    return len(p.coeffs) - 1
 
 
 def witt_mult(k: list[int]) -> Fraction:
@@ -466,7 +496,7 @@ def partition_sum_chromatic(g: Graph, k: WeightVector) -> QPolynomial:
     polynomials, over the reference partition counts."""
     total = QPolynomial.of([])
     for length, n in support_partition_counts(g, k).items():
-        total = total + falling_binomial(0, length).scale(n)
+        total = total + scale(falling_binomial(0, length), n)
     return total
 
 

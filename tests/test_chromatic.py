@@ -1,3 +1,4 @@
+import random
 from itertools import zip_longest
 
 import pytest
@@ -56,6 +57,15 @@ def test_complete_closed_form():
         g = complete_graph(len(weights))
         k = WeightVector.of(dict(enumerate(weights, start=1)))
         assert chromatic_complete(weights) == chromatic_poly(g, k)
+    # K2-K5 with the weight list shuffled, so the factor order changes
+    rng = random.Random(5)
+    for n in range(2, 6):
+        for _ in range(6):
+            weights = [rng.randint(1, 3) for _ in range(n)]
+            k = WeightVector.of(dict(enumerate(weights, start=1)))
+            rng.shuffle(weights)
+            assert chromatic_complete(weights) == \
+                chromatic_poly(complete_graph(n), k), weights
 
 
 def test_complete_closed_form_validation():
@@ -69,6 +79,15 @@ def test_tree_closed_form():
     g = path_graph(4)
     for k in full_support_weights(g, 6):
         assert chromatic_tree(g, k) == chromatic_poly(g, k)
+    # trees with scattered ids, each vertex attached to a random earlier
+    # one, so leaves, parents and the last vertex fall anywhere
+    rng = random.Random(20)
+    for _ in range(30):
+        ids = rng.sample(range(40), rng.randint(1, 7))
+        g = new_graph(ids, edges=[(v, rng.choice(ids[:j]))
+                                  for j, v in enumerate(ids) if j])
+        k = WeightVector.of({v: rng.randint(1, 3) for v in ids})
+        assert chromatic_tree(g, k) == chromatic_poly(g, k), (g, k)
 
 
 def test_tree_closed_form_rejects_cycles():

@@ -8,17 +8,17 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from chromalie import hilbert
-from chromalie.cli import CLOSED_PIPE, MAX_K, main, parse_weight_spec, \
-    UsageError
+from chromalie.cli import CLOSED_PIPE, MAX_K, MAX_VALUE_DIGITS, main, \
+    parse_weight_spec, UsageError
 from chromalie import QPolynomial, new_graph, weight_box, is_connected_sub
 
-from helpers import graph_to_json
+from helpers import complete_graph, graph_to_json
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -269,6 +269,44 @@ def test_lcs_ranks_cap(capsys, monkeypatch, showcase_file):
         code, out, _ = run(capsys, ["lcs-ranks", "--graph", showcase_file,
                                     "--max-k", str(MAX_K)] + extra)
         assert code == 0 and calls.pop() == MAX_K
+
+
+def test_value_digit_cap(capsys, monkeypatch, tmp_path):
+    # digits(q) * height past the bound is refused before any work, in text
+    # and --json; just under it both commands print every digit
+    from chromalie import chromatic
+    k4, one = tmp_path / "k4.json", tmp_path / "one.json"
+    k4.write_text(graph_to_json(complete_graph(4)))
+    one.write_text(graph_to_json(new_graph([1])))
+    chromatic_argv = ["chromatic", "--graph", str(k4), "--k",
+                      "1:3,2:3,3:3,4:3", "--eval"]
+    hilbert_argv = ["hilbert", "--graph", str(one), "--max-ht", "12", "--q"]
+    big = 10 ** 399  # 400 digits, 4,800 digit-heights at height 12
+
+    def refuse(*args):
+        raise AssertionError("a refused request started its work")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chromatic, "chromatic_poly", refuse)
+        patch.setattr(hilbert, "series_table", refuse)
+        for argv in (chromatic_argv + [str(big)],
+                     chromatic_argv + [str(-big)], hilbert_argv + [str(big)]):
+            for extra in ([], ["--json"]):
+                code, out, err = run(capsys, argv + extra)
+                assert (code, out) == (3, "")
+                assert err == (
+                    "error: q has 400 digits at height 12: digits x height "
+                    f"= 4800 exceeds {MAX_VALUE_DIGITS}, which keeps values "
+                    "under Python's 4300-digit limit on printing an int\n")
+    q = 10 ** 332  # 333 digits, 3,996 digit-heights
+    code, out, _ = run(capsys, chromatic_argv + [str(q), "--json"])
+    value = 1
+    for j in range(4):
+        value *= comb(q - 3 * j, 3)
+    assert code == 0 and json.loads(out)["eval"]["value"] == str(value)
+    code, out, _ = run(capsys, hilbert_argv + [str(q), "--json"])
+    assert code == 0 and json.loads(out)["entries"][-1] == {
+        "k": {"1": 12}, "dim": comb(q + 11, 12)}
 
 
 class ClosedPipe(io.StringIO):

@@ -5,7 +5,7 @@ import pytest
 from chromalie import (GraphError, WeightVector, acyclic_counts, bond_lattice,
                        chromatic_poly, chromatic_via_bond_lattice,
                        count_unique_sink, enumerate_acyclic_orientations,
-                       is_connected_sub, moebius, moebius_invert,
+                       is_connected_sub, moebius_invert,
                        mult_via_orientations, new_graph,
                        root_multiplicity, tuple_divisors)
 
@@ -14,7 +14,7 @@ from chromalie.graphs import join_graph, weight_box
 from chromalie.multiplicity import _unique_sink_counts
 
 from helpers import complete_graph, cycle_graph, full_support_weights, \
-    moebius_sum, orientation_sinks, partition_product_expansion, \
+    moebius, moebius_sum, orientation_sinks, partition_product_expansion, \
     path_graph, random_graphs, recursive_bond_lattice, witt_mult
 
 
@@ -33,14 +33,18 @@ def test_moebius_invert():
         moebius_invert(2, lambda d: 1)  # 1 - 1/2
     with pytest.raises(GraphError):
         moebius_invert(2, lambda d: 2 * d * d)  # 2 - 4
+    for n in (0, -6):
+        with pytest.raises(ValueError):
+            moebius_invert(n, lambda d: 1)
 
 
 def test_moebius_invert_matches_brute_force():
-    # the divisor-pair walk against the sum over every d in 1..n, with f
-    # called once at each squarefree divisor; 12, 30 and 36 have divisors
-    # on both sides of sqrt(n), and 36 = 6^2 pairs 6 with itself
+    # the sum over squarefree divisors against the sum over every d in 1..n,
+    # with f called once at each squarefree divisor; past 60, prime powers
+    # (64, 81), products of the first primes (210, 2310) and n with a
+    # large prime factor (3999 = 3 * 31 * 43) or mixed powers (3600, 4000)
     rng = random.Random(60)
-    for n in range(1, 61):
+    for n in [*range(1, 61), 64, 81, 210, 2310, 3600, 3999, 4000]:
         for f in ({d: d * rng.randint(-3, 9) for d in range(1, n + 1)},
                   {d: rng.randint(0, 2 * n) for d in range(1, n + 1)}):
             calls = []

@@ -4,17 +4,27 @@ from math import comb
 from hypothesis import given, strategies as st
 
 from chromalie import QPolynomial, falling_binomial
-from chromalie.polynomials import ONE, ZERO, scaled_binomial, \
+from chromalie.polynomials import ZERO, binomial_product, scaled_binomial, \
     times_scaled_falling
 
-from helpers import has_integer_coefficients, polynomial_from_json_list
+from helpers import ONE, degree, has_integer_coefficients, \
+    polynomial_from_json_list, scale
 
 
 def test_trim_and_degree():
     p = QPolynomial.of([1, 2, 0, 0])
     assert p.coeffs == (Fraction(1), Fraction(2))
-    assert p.degree == 1
-    assert ZERO.degree == -1 and ZERO.is_zero
+    assert degree(p) == 1
+    assert degree(ZERO) == -1 and ZERO.is_zero
+
+
+def test_common_denominator():
+    p = QPolynomial.of([6, -3, 0, 0], 4)
+    assert p.coeffs == (Fraction(3, 2), Fraction(-3, 4))
+    assert QPolynomial.of([1, 2], -2) == QPolynomial.of([Fraction(-1, 2), -1])
+    assert QPolynomial.of([Fraction(1, 3)], 2) == QPolynomial.of(
+        [Fraction(1, 6)])
+    assert QPolynomial.of([0, 0], 5) == ZERO
 
 
 def test_arithmetic():
@@ -22,7 +32,8 @@ def test_arithmetic():
     q = QPolynomial.of([-1, 1])
     assert p * q == QPolynomial.of([-1, 0, 1])
     assert p + q == QPolynomial.of([0, 2])
-    assert p.scale(Fraction(1, 2)).eval(3) == 2
+    assert scale(p, Fraction(1, 2)).eval(3) == 2
+    assert scale(p, 0) == ZERO
 
 
 def test_eval_horner():
@@ -73,14 +84,29 @@ def test_scaled_binomial():
 def test_times_scaled_falling():
     for m in range(4):
         for r in range(5):
-            coeffs = times_scaled_falling([2, -1], m, r)
-            for q in range(-3, 4):
-                falling = 1
-                for j in range(r):
-                    falling *= m * q - j
-                assert sum(c * q ** p for p, c in enumerate(coeffs)) == \
-                    (2 - q) * falling
+            for offset in range(-4, 5):
+                coeffs = times_scaled_falling([2, -1], m, r, offset)
+                for q in range(-3, 4):
+                    falling = 1
+                    for j in range(r):
+                        falling *= m * q + offset - j
+                    assert sum(c * q ** p for p, c in enumerate(coeffs)) == \
+                        (2 - q) * falling, (m, r, offset, q)
             assert scaled_binomial(m, r).eval(5) == comb(5 * m, r)
+
+
+def test_binomial_product():
+    # product of C(q + offset, size), checked at integer points
+    factors = [(0, 2), (-2, 1), (3, 3), (-1, 0)]
+    p = binomial_product(factors)
+    assert degree(p) == 6 and binomial_product([]) == ONE
+    for q in range(-6, 8):
+        expected = Fraction(1)
+        for offset, size in factors:
+            x = Fraction(q + offset)
+            for j in range(size):
+                expected *= (x - j) / (j + 1)
+        assert p.eval(q) == expected
 
 
 def test_linear_coefficient():
