@@ -25,7 +25,7 @@ _EXPORTS = {
     "lyndon": ("bracket_tree", "c_i_set", "expand_bracket",
                "expand_right_normed", "is_lyndon", "render_bracket",
                "right_normed_nonzero", "standard_factorization",
-               "verify_basis", "x_i_alphabet"),
+               "verify_basis"),
     "hilbert": ("count_compatible_pairs", "lcs_ranks",
                 "lcs_ranks_triangle_free", "ordered_partition_identity_check",
                 "series_table", "trace_dimension_oracle", "uq_dimension"),

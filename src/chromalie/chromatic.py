@@ -24,8 +24,9 @@ def _partition_dp(g: Graph) -> Callable[[tuple[int, ...]], list[int]]:
     to the number of ordered l-tuples of nonempty independent sets whose
     disjoint union realizes it, at list index l.  Its residual memo lives as
     long as the graph's cache entry, so every weight of a box shares it."""
-    parts = [(s, tuple(s >> j & 1 for j in range(len(g.vertices))))
-             for s, sign in enumerate(g.independent_signs) if s and sign]
+    subsets = g.independent_subsets
+    bits = {s: tuple(s >> j & 1 for j in range(len(g.vertices)))
+            for s in subsets[-1]}
     memo: dict[tuple[int, ...], list[int]] = {(0,) * len(g.vertices): [1]}
 
     def counts(residual: tuple[int, ...]) -> list[int]:
@@ -33,11 +34,10 @@ def _partition_dp(g: Graph) -> Callable[[tuple[int, ...]], list[int]]:
         if out is None:
             alive = sum(1 << j for j, c in enumerate(residual) if c)
             out = [0] * (sum(residual) + 1)
-            for mask, bits in parts:
-                if not mask & ~alive:
-                    for length, n in enumerate(
-                            counts(tuple(map(sub, residual, bits))), 1):
-                        out[length] += n
+            for mask in subsets[alive]:
+                for length, n in enumerate(
+                        counts(tuple(map(sub, residual, bits[mask]))), 1):
+                    out[length] += n
             memo[residual] = out
         return out
 

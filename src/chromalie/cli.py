@@ -13,10 +13,10 @@ from typing import Iterable
 
 # Each command imports the layer modules it calls, so that a request loads
 # (and, without cached bytecode, compiles) only what it runs.
-from .graphs import Graph, GraphError, WeightVector, complement, \
-    graph_from_json, is_connected_sub, is_triangle_free, weight_box
+from .graphs import MAX_HEIGHT, Graph, GraphError, WeightVector, \
+    complement, graph_from_json, is_connected_sub, is_triangle_free, \
+    weight_box
 
-MAX_HEIGHT = 12
 # lcs-ranks on C5, C10, P10 and K10 at this --max-k takes 0.5-1.1 s CPU
 # (Python 3.11.7, 2-vCPU VM).  K10's N_k has k + 1 digits, so the cap also
 # stays below Python's default 4,300-digit limit on printing an int.

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 REAL = "re"
 IMAGINARY = "im"
+MAX_HEIGHT = 12  # the tallest weight or height bound any command accepts
 
 
 class GraphError(ValueError):
@@ -101,20 +102,23 @@ class Graph(Value):
             raise GraphError(f"unknown vertex {v}") from None
 
     @cached_property
-    def independent_signs(self) -> list[int]:
-        """sign[S] for every bitmask S over the vertices (bit j is the j-th
-        vertex): (-1)^(|S|+1) if S is an independent set, else 0."""
+    def independent_subsets(self) -> list[list[int]]:
+        """For every bitmask S over the vertices (bit j is the j-th vertex),
+        the nonempty independent sets inside S, as bitmasks.  With v the
+        lowest vertex of S, they are those of S - v, {v}, and v joined to
+        each of those of S - v - N(v): time linear in the output."""
         index = {v: j for j, v in enumerate(self.vertices)}
         adj = [0] * len(self.vertices)
         for u, v in self.edges:
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
-        sign = [-1] * (1 << len(self.vertices))
-        for s in range(1, len(sign)):
+        subsets: list[list[int]] = [[]]
+        for s in range(1, 1 << len(self.vertices)):
             low = s & -s
             rest = s ^ low
-            sign[s] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
-        return sign
+            apart = subsets[rest & ~adj[low.bit_length() - 1]]
+            subsets.append([*subsets[rest], low, *[low | t for t in apart]])
+        return subsets
 
     def induced(self, s: Iterable[int]) -> "Graph":
         keep = set(s)
@@ -183,9 +187,9 @@ def is_connected_sub(g: Graph, s: Iterable[int]) -> bool:
 
 def enumerate_independent_sets(g: Graph) -> list[frozenset[int]]:
     """All independent vertex sets including the empty set, size-then-lex
-    order: the nonzero entries of g.independent_signs."""
-    sets = [tuple(v for j, v in enumerate(g.vertices) if s >> j & 1)
-            for s, sign in enumerate(g.independent_signs) if sign]
+    order: the empty set and the last entry of g.independent_subsets."""
+    sets = [(), *(tuple(v for j, v in enumerate(g.vertices) if s >> j & 1)
+                  for s in g.independent_subsets[-1])]
     return [frozenset(s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
@@ -257,37 +261,41 @@ class WeightVector(Value):
 
 def weight_box(bounds: Mapping[int, int],
                max_height: int | None = None) -> Iterator[WeightVector]:
-    """Every w with 0 <= w_v <= bounds[v] and height at most max_height, the
-    zero vector included.  Vertices ascend, the last varying fastest."""
-    verts = sorted(bounds)
-    acc: list[tuple[int, int]] = []
-
-    def rec(idx: int, room: int) -> Iterator[WeightVector]:
-        if idx == len(verts):
-            yield WeightVector(tuple(acc))
-            return
-        v = verts[idx]
-        yield from rec(idx + 1, room)
-        for c in range(1, min(bounds[v], room) + 1):
-            acc.append((v, c))
-            yield from rec(idx + 1, room - c)
-            acc.pop()
-
-    cap = sum(bounds.values()) if max_height is None else max_height
-    return rec(0, cap) if cap >= 0 else iter(())
+    """The weights of coded_box(bounds, max_height), without their codes."""
+    return (w for w, _, _, _ in coded_box(bounds, max_height)[1])
 
 
 def coded_box(bounds: Mapping[int, int], max_height: int | None = None
-              ) -> tuple[dict[int, int], list[tuple[WeightVector, int]]]:
-    """The weights of weight_box(bounds, max_height), in its order, each with
-    the integer code sum of w_v * place[v], place[v] = radix^j at the j-th
-    vertex.  radix = 2 * max bound + 1, so no sum or difference of two box
-    weights carries: codes add and subtract as the weights do, and b fits
-    inside a exactly when code[a] - code[b] is again a box code."""
+              ) -> tuple[dict[int, int],
+                         Iterator[tuple[WeightVector, int, int, int]]]:
+    """Every w with 0 <= w_v <= bounds[v] and height at most max_height, the
+    zero vector included, yielded lazily as (w, code, height, mask).
+    Vertices ascend, the last varying fastest.  Bit j of mask is set when
+    the j-th vertex is in the support, and code is the sum of w_v * place[v],
+    place[v] = radix^j at the j-th vertex.  radix = 2 * max bound + 1, so no
+    sum or difference of two box weights carries: codes add and subtract as
+    the weights do, and b fits inside a exactly when code[a] - code[b] is
+    again a box code."""
+    verts = sorted(bounds)
     radix = 2 * max(bounds.values(), default=0) + 1
-    place = {v: radix ** j for j, v in enumerate(sorted(bounds))}
-    return place, [(w, sum(c * place[v] for v, c in w.counts))
-                   for w in weight_box(bounds, max_height)]
+    place = [radix ** j for j in range(len(verts))]
+    cap = sum(bounds.values()) if max_height is None else max_height
+    acc: list[tuple[int, int]] = []
+
+    def rec(idx: int, room: int, code: int, mask: int):
+        if idx == len(verts):
+            yield WeightVector(tuple(acc)), code, cap - room, mask
+            return
+        v = verts[idx]
+        yield from rec(idx + 1, room, code, mask)
+        for c in range(1, min(bounds[v], room) + 1):
+            acc.append((v, c))
+            yield from rec(idx + 1, room - c, code + c * place[idx],
+                           mask | 1 << idx)
+            acc.pop()
+
+    return dict(zip(verts, place)), rec(0, cap, 0, 0) if cap >= 0 \
+        else iter(())
 
 
 def join_graph(g: Graph, k: WeightVector) -> tuple[Graph, dict[int, tuple[int, int]]]:

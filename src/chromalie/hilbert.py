@@ -100,9 +100,9 @@ def lcs_ranks(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
     if max_k < 1:
         raise GraphError("max_k must be positive")
     u: dict[int, int] = {}  # the nonzero u_j, j > 0
-    for s, sign in enumerate(g.independent_signs):
-        if s and sign:
-            u[s.bit_count()] = u.get(s.bit_count(), 0) - sign
+    for s in g.independent_subsets[-1]:
+        j = s.bit_count()
+        u[j] = u.get(j, 0) + (-1) ** j
     a = [0]
     for n in range(1, max_k + 1):
         a.append(-n * u.get(n, 0) - sum(c * a[n - j] for j, c in u.items()
@@ -146,35 +146,31 @@ def series_table(g: Graph, q: int, max_height: int) -> dict[WeightVector, int]:
     the integer recurrence
     ht(m) F_m = sum over nonempty independent S within supp(m) of
     (-1)^(|S|+1) (ht(m) + (q-1)|S|) F_(m-S),
-    solved over the box on the codes of graphs.coded_box.
+    solved over the box on the codes, heights and support masks of
+    graphs.coded_box.
     """
     g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
     if max_height < 0:
         raise GraphError("height bound must be non-negative")
-    sign = g.independent_signs
+    subsets = g.independent_subsets
     place, box = coded_box(dict.fromkeys(g.vertices, max_height), max_height)
-    bit = {v: 1 << j for j, v in enumerate(g.vertices)}
-    step = {s: sum(place[v] for v in g.vertices if s & bit[v])
-            for s in range(1, len(sign)) if sign[s]}
+    step = {s: sum(place[v] for j, v in enumerate(g.vertices) if s >> j & 1)
+            for s in subsets[-1]}
     # The box is in lexicographic order of the counts aligned to g.vertices,
     # so m - S, below m in every count, is solved before m.
     dims: dict[int, int] = {}
     table: dict[WeightVector, int] = {}
-    for k, m in box:
-        ht = k.height
+    for k, m, ht, alive in box:
         if not ht:
             dims[m] = table[k] = 1
             continue
         total = 0
-        alive = sum(bit[v] for v, _ in k.counts)
-        s = alive
-        while s:
-            if sign[s]:
-                total += sign[s] * (ht + (q - 1) * s.bit_count()) * \
-                    dims[m - step[s]]
-            s = (s - 1) & alive
+        for s in subsets[alive]:
+            n = s.bit_count()
+            term = (ht + (q - 1) * n) * dims[m - step[s]]
+            total += term if n & 1 else -term
         value, rest = divmod(total, ht)
         if rest or value < 0:
             raise GraphError(f"weight {k.as_dict()}: {total}/{ht} is not a "

@@ -12,8 +12,7 @@ from __future__ import annotations
 from math import gcd
 from operator import add
 
-from .graphs import (Graph, GraphError, Value, WeightVector, coded_box,
-                     weight_box)
+from .graphs import Graph, GraphError, Value, WeightVector, coded_box
 from .multiplicity import _check_real_constraint, root_multiplicity
 from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
@@ -23,15 +22,6 @@ LyndonSeq = tuple[TraceWord, ...]
 LieExpr = dict[TraceWord, int]
 # A trace keyed by its projections onto the parts of _projection_keys.
 Key = tuple[tuple[int, ...], ...]
-
-
-def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[TraceWord]:
-    """All words of weight <= k componentwise that contain exactly one i and
-    have initial alphabet multiset {i}; sorted by canonical form."""
-    if i not in k.support:
-        raise GraphError(f"vertex {i} not in the support of k")
-    return sorted(word for w in weight_box({**k.as_dict(), i: 1})
-                  if w.get(i) == 1 for word in b_tilde(g, w, i))
 
 
 def is_lyndon(seq: LyndonSeq) -> bool:
@@ -63,18 +53,17 @@ def bracket_tree(seq: LyndonSeq):
 
 def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
     """All Lyndon sequences over the i-marked alphabet with total weight k.
-    Letters are grouped by their code in coded_box(k): a group fits the
-    residual code when the difference is again a box code, and no letter
-    below the first one is tried, since a Lyndon sequence starts with its
-    least letter."""
+    The letters of each weight w of coded_box(k) with w_i = 1 are
+    b_tilde(g, w, i), grouped under w's code: a group fits the residual code
+    when the difference is again a box code, and no letter below the first
+    one is tried, since a Lyndon sequence starts with its least letter."""
     if k.get(i) < 1:
         raise GraphError(f"vertex {i} needs positive weight")
     _check_real_constraint(g, k)
-    place, box = coded_box(k.as_dict())
+    box = [(w, code) for w, code, _, _ in coded_box(k.as_dict())[1]]
     codes = {code for _, code in box}
-    groups: dict[int, list[TraceWord]] = {}
-    for w in x_i_alphabet(g, k, i):
-        groups.setdefault(sum(place[c] for c in w), []).append(w)
+    groups = {code: words for w, code in box
+              if w.get(i) == 1 and (words := b_tilde(g, w, i))}
     results = []
 
     def rec(residual: int, acc: list[TraceWord]):
@@ -91,7 +80,7 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
                         rec(rest, acc)
                         acc.pop()
 
-    rec(box[-1][1], [])  # weight_box ends at k itself
+    rec(box[-1][1], [])  # the box ends at k itself
     return sorted(results)
 
 

@@ -86,7 +86,7 @@ def bond_lattice(g: Graph, k: WeightVector) -> list[tuple[WeightVector, ...]]:
     a residual code when the difference is again a box code, and each
     residual carries the candidates from the current one on that fit."""
     k.check_support(g)
-    _, box = coded_box(k.as_dict())
+    box = [(w, code) for w, code, _, _ in coded_box(k.as_dict())[1]]
     codes = {code for _, code in box}
     candidates = sorted(((w, code) for w, code in box
                          if is_connected_sub(g, w.support)), reverse=True)
@@ -102,7 +102,7 @@ def bond_lattice(g: Graph, k: WeightVector) -> list[tuple[WeightVector, ...]]:
             rec(rest, [c for c in fitting[pos:] if rest - c[1] in codes],
                 acc + (part,))
 
-    rec(box[-1][1], candidates, ())  # weight_box ends at k itself
+    rec(box[-1][1], candidates, ())  # the box ends at k itself
     return results
 
 
@@ -111,17 +111,17 @@ def bond_table(g: Graph, bounds: Mapping[int, int],
     """pi_w for each w of the box that real_overweight accepts, by the knapsack
     sum (-1)^ht(w) pi_w x^w = prod over connected alpha of (1 - x^alpha)^
     (q*mult(alpha)) (Cartier & Foata 1969), tallest state first, times ht!."""
-    box = [(w, code) for w, code in coded_box(bounds, max_height)[1]
+    box = [(w, code, ht) for w, code, ht, _ in coded_box(bounds, max_height)[1]
            if real_overweight(g, w) is None]
-    height = {code: w.height for w, code in box}
+    height = {code: ht for _, code, ht in box}
     fact = [factorial(h) for h in range(max(height.values(), default=0) + 1)]
     by_height = [[m for m in height if height[m] == h] for h in range(len(fact))]
     table = {0: [1]}
-    for part, step in box:
+    for part, step, ht in box:
         if not is_connected_sub(g, part.support) or \
                 not (mult := root_multiplicity(g, part)):
             continue
-        for h in range(len(fact) - 1 - part.height, -1, -1):
+        for h in range(len(fact) - 1 - ht, -1, -1):
             for m in filter(table.__contains__, by_height[h]):
                 coeffs, r, t = table[m], 1, m + step
                 while t in height:  # (-1)^r (h + r*ht alpha)! / (h! r!)
@@ -130,8 +130,8 @@ def bond_table(g: Graph, bounds: Mapping[int, int],
                     acc = table.setdefault(t, [0] * (height[t] + 1))
                     acc[:len(term)] = map(add, acc, [scale * c for c in term])
                     r, t = r + 1, t + step
-    return {w: QPolynomial.of(table.get(code, ()), (-1) ** w.height *
-                              fact[w.height]) for w, code in box}
+    return {w: QPolynomial.of(table.get(code, ()), (-1) ** ht * fact[ht])
+            for w, code, ht in box}
 
 
 def chromatic_via_bond_lattice(g: Graph, k: WeightVector) -> QPolynomial:
@@ -184,16 +184,11 @@ def acyclic_counts(g: Graph) -> list[int]:
     the bitmask S over g.vertices, for every S (Stanley 1973): a[0] = 1 and
     a[S] = sum over nonempty independent T within S of
     (-1)^(|T|+1) * a[S - T], inclusion-exclusion over a set T of sinks."""
-    sign = g.independent_signs
-    a = [1] * len(sign)
-    for s in range(1, len(sign)):
-        total = 0
-        t = s
-        while t:
-            if sign[t]:
-                total += sign[t] * a[s ^ t]
-            t = (t - 1) & s
-        a[s] = total
+    subsets = g.independent_subsets
+    a = [1] * len(subsets)
+    for s in range(1, len(a)):
+        a[s] = sum(a[s ^ t] if t.bit_count() & 1 else -a[s ^ t]
+                   for t in subsets[s])
     return a
 
 
@@ -201,15 +196,14 @@ def _unique_sink_counts(g: Graph) -> dict[int, int]:
     """Acyclic orientations whose only sink is v, for each vertex v: u_v =
     sum over independent T containing v of (-1)^(|T|-1) * a[V - T], because
     making every vertex of T a sink leaves any acyclic orientation on V - T."""
-    sign = g.independent_signs
     a = acyclic_counts(g)
     full = len(a) - 1
     counts = dict.fromkeys(g.vertices, 0)
-    for t in range(1, len(a)):
-        if sign[t]:
-            for j, v in enumerate(g.vertices):
-                if t >> j & 1:
-                    counts[v] += sign[t] * a[full ^ t]
+    for t in g.independent_subsets[full]:
+        term = a[full ^ t] if t.bit_count() & 1 else -a[full ^ t]
+        for j, v in enumerate(g.vertices):
+            if t >> j & 1:
+                counts[v] += term
     return counts
 
 

@@ -12,11 +12,10 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Graph, GraphError, WeightVector
+from .graphs import MAX_HEIGHT, Graph, GraphError, WeightVector
 
 TraceWord = tuple[int, ...]
 IForm = tuple[TraceWord, ...]
-MAX_WORD_HEIGHT = 12  # enumerate_weight_words refuses taller weights
 
 
 def canonicalize(letters: Sequence[int], g: Graph) -> TraceWord:
@@ -131,8 +130,8 @@ def _search(g: Graph, k: WeightVector
     survives.  A third mask holds the letters with copies left.
     """
     k.check_support(g)
-    if k.height > MAX_WORD_HEIGHT:
-        raise GraphError(f"height {k.height} exceeds limit {MAX_WORD_HEIGHT}")
+    if k.height > MAX_HEIGHT:
+        raise GraphError(f"height {k.height} exceeds limit {MAX_HEIGHT}")
     letters = k.support
     bit = {v: 1 << j for j, v in enumerate(letters)}
     residual = {bit[v]: c for v, c in k.counts}

@@ -10,9 +10,9 @@ from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
-from chromalie import Graph, GraphError, WeightVector, canonicalize, \
-    enumerate_independent_sets, initial_alphabet, is_connected_sub, \
-    is_lyndon, new_graph, root_multiplicity, x_i_alphabet
+from chromalie import Graph, GraphError, WeightVector, b_tilde, \
+    canonicalize, enumerate_independent_sets, initial_alphabet, \
+    is_connected_sub, is_lyndon, new_graph, root_multiplicity
 from chromalie.graphs import weight_box
 from chromalie.polynomials import QPolynomial, falling_binomial, \
     scaled_binomial
@@ -424,6 +424,16 @@ def recursive_bond_lattice(g: Graph, k: WeightVector) -> list[tuple]:
 
     rec(k, 0, [])
     return results
+
+
+def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[tuple]:
+    """Reference i-marked alphabet: all words of weight <= k componentwise
+    that contain exactly one i and have initial alphabet multiset {i},
+    sorted by canonical form."""
+    if i not in k.support:
+        raise GraphError(f"vertex {i} not in the support of k")
+    return sorted(word for w in weight_box({**k.as_dict(), i: 1})
+                  if w.get(i) == 1 for word in b_tilde(g, w, i))
 
 
 def letter_scan_c_i_set(g: Graph, k: WeightVector, i: int) -> list[tuple]:

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given
@@ -91,14 +91,15 @@ def test_independent_sets_order():
 
 
 @given(graphs)
-def test_independent_signs_match_is_independent(g):
-    sign = g.independent_signs
-    assert len(sign) == 2 ** len(g.vertices)
-    for s, value in enumerate(sign):
-        members = [v for j, v in enumerate(g.vertices) if s >> j & 1]
-        expected = (-1) ** (len(members) + 1) \
-            if is_independent(g, members) else 0
-        assert value == expected, (g, members)
+def test_independent_subsets_match_is_independent(g):
+    subsets = g.independent_subsets
+    assert len(subsets) == 2 ** len(g.vertices)
+    for s, entries in enumerate(subsets):
+        assert len(set(entries)) == len(entries), (g, s)
+        expected = {t for t in range(1, s + 1) if t & s == t and
+                    is_independent(g, [v for j, v in enumerate(g.vertices)
+                                       if t >> j & 1])}
+        assert set(entries) == expected, (g, s)
     # the list view keeps the size-then-lex order of the pairwise filter
     assert enumerate_independent_sets(g) == [
         frozenset(c) for r in range(len(g.vertices) + 1)
@@ -191,8 +192,13 @@ def test_weight_box_matches_product_filter(bounds, max_height):
     # coded_box: the same weights in the same order, with distinct codes
     # that add and subtract as the weights do
     place, coded = coded_box(bounds, max_height)
-    assert [w for w, _ in coded] == expected
-    code = dict(coded)
+    coded = list(coded)
+    assert [w for w, _, _, _ in coded] == expected
+    # the carried height and support mask are the weight's own
+    assert all(ht == w.height and mask == sum(1 << verts.index(v)
+                                              for v in w.support)
+               for w, _, ht, mask in coded)
+    code = {w: c for w, c, _, _ in coded}
     assert len(set(code.values())) == len(code)
 
     def encode(w):
@@ -217,6 +223,27 @@ def test_weight_box_matches_product_filter(bounds, max_height):
     # distinct codes
     assert len(set(sums.values())) == len(sums)
     assert len(set(differences.values())) == len(differences)
+
+
+def test_coded_box_is_lazy(monkeypatch):
+    # ten vertices at bound and height 12 hold 646,646 weights; the first
+    # entries come out after building only those
+    built = []
+
+    def counting(counts):
+        if len(built) > 100:
+            raise AssertionError("coded_box built the box ahead of its use")
+        built.append(counts)
+        return WeightVector(counts)
+
+    monkeypatch.setattr("chromalie.graphs.WeightVector", counting)
+    place, box = coded_box(dict.fromkeys(range(10), 12), 12)
+    first = list(islice(box, 3))
+    assert len(built) == 3
+    assert place[9] == 25 ** 9
+    assert first == [(WeightVector(()), 0, 0, 0),
+                     (WeightVector(((9, 1),)), 25 ** 9, 1, 1 << 9),
+                     (WeightVector(((9, 2),)), 2 * 25 ** 9, 2, 1 << 9)]
 
 
 @pytest.mark.parametrize("g", [path_graph(1), path_graph(3), cycle_graph(4)])

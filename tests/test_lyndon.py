@@ -6,13 +6,13 @@ from chromalie import (GraphError, WeightVector, b_set, b_tilde, bracket_tree,
                        c_i_set, expand_bracket, expand_right_normed, is_lyndon,
                        new_graph, render_bracket, right_normed_nonzero,
                        root_multiplicity, standard_factorization,
-                       verify_basis, weight_box, x_i_alphabet)
+                       verify_basis, weight_box)
 from chromalie import lyndon, trace
 from chromalie.lyndon import exact_rank
 
 from helpers import canonical_expand, complete_graph, cycle_graph, \
     fraction_rank, letter_scan_c_i_set, path_graph, projection_key, \
-    random_graphs
+    random_graphs, x_i_alphabet
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 SHOWCASE_K = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
@@ -101,9 +101,9 @@ def test_c_i_set_is_least_rotation_of_b_set():
 
 def test_c_i_set_refuses_overweight_real_vertex(monkeypatch):
     def unreached(g, k, i):
-        raise AssertionError("x_i_alphabet ran on an overweight real vertex")
+        raise AssertionError("b_tilde ran on an overweight real vertex")
 
-    monkeypatch.setattr(lyndon, "x_i_alphabet", unreached)
+    monkeypatch.setattr(lyndon, "b_tilde", unreached)
     g = new_graph([1, 2], kinds={1: "re"}, edges=[(1, 2)])
     with pytest.raises(GraphError, match="real vertex 1 carries weight 2"):
         c_i_set(g, WeightVector.of({1: 2, 2: 1}), 2)
