@@ -35,6 +35,9 @@ VERIFY_CHECKS = {"chromatic": "chromatic-oracle", "mult": "mult-three-routes",
                  "lucas": "lucas-ranks"}
 
 
+Output = tuple[int, dict, Iterable[str]]  # status, --json payload, text lines
+
+
 class UsageError(Exception):
     pass
 
@@ -100,9 +103,12 @@ def check_limits(args, g: Graph, k: WeightVector | None) -> None:
 
 
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """Print a command's Output once.  A listing is one lazy iterator that the
+    payload and the lines share, so only the mode that runs reads it: --json
+    makes it a list inside one object, text prints it line by line."""
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True,
+                         default=list))
     else:
         for line in text_lines:
             print(line)
@@ -114,7 +120,7 @@ def _frac(x) -> str:
         else str(x.numerator)
 
 
-def cmd_chromatic(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_chromatic(args, g: Graph, k: WeightVector | None) -> Output:
     from . import chromatic
     if args.closed_form == "complete":
         n = len(k.support)
@@ -132,11 +138,10 @@ def cmd_chromatic(args, g: Graph, k: WeightVector | None) -> int:
         value = poly.eval(args.eval)
         payload["eval"] = {"q": args.eval, "value": _frac(value)}
         lines.append(f"value at q={args.eval}: {_frac(value)}")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_mult(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_mult(args, g: Graph, k: WeightVector | None) -> Output:
     from . import multiplicity
     if args.sink is not None and args.method != "orientations":
         raise UsageError("--sink needs --method orientations")
@@ -147,55 +152,43 @@ def cmd_mult(args, g: Graph, k: WeightVector | None) -> int:
         value = multiplicity.mult_via_orientations(g, k, sink)
     else:  # "bond": the expansion's q^1 terms Moebius-invert to this same sum
         value = multiplicity.root_multiplicity(g, k)
-    _emit(args, {"multiplicity": value}, [str(value)])
-    return 0
+    return 0, {"multiplicity": value}, [str(value)]
 
 
-def cmd_basis(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_basis(args, g: Graph, k: WeightVector | None) -> Output:
     from . import lyndon
     report = lyndon.verify_basis(g, k, args.sink) if args.verify else None
     words = report.lyndon if report else lyndon.c_i_set(g, k, args.sink)
-    rendered = [lyndon.render_bracket(lyndon.bracket_tree(w)) for w in words]
-    payload: dict = {"basis": rendered}
-    lines = list(rendered)
-    status = 0
-    if report:
-        ok = report.counts_match and report.rank_matches and \
-            report.right_normed_consistent
-        payload["verify"] = {
-            "multiplicity": report.multiplicity,
-            "lyndon_count": report.lyndon_count,
-            "rank": report.rank,
-            "ok": ok,
-        }
-        lines.append(f"multiplicity={report.multiplicity} "
-                     f"count={report.lyndon_count} rank={report.rank} "
-                     f"ok={ok}")
-        status = 0 if ok else 1
-    _emit(args, payload, lines)
-    return status
+    rendered = (lyndon.render_bracket(lyndon.bracket_tree(w)) for w in words)
+    if not report:
+        return 0, {"basis": rendered}, rendered
+    ok = report.counts_match and report.rank_matches and \
+        report.right_normed_consistent
+    summary = f"multiplicity={report.multiplicity} " \
+        f"count={report.lyndon_count} rank={report.rank} ok={ok}"
+    return int(not ok), {"basis": rendered, "verify": {
+        "multiplicity": report.multiplicity, "rank": report.rank,
+        "lyndon_count": report.lyndon_count, "ok": ok}}, \
+        (line for part in (rendered, [summary]) for line in part)
 
 
-def cmd_words(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_words(args, g: Graph, k: WeightVector | None) -> Output:
     from . import trace
     if args.aperiodic_classes is not None and args.ia is not None:
         raise UsageError("--ia and --aperiodic-classes do not combine")
     if args.aperiodic_classes is not None:
-        forms = trace.b_set(g, k, args.aperiodic_classes)
-        rendered = [" | ".join(" ".join(map(str, f)) for f in form)
-                    for form in forms]
-        _emit(args, {"aperiodic_classes": rendered}, rendered)
-        return 0
-    if args.ia is not None:
-        words = trace.b_tilde(g, k, args.ia)
+        key = "aperiodic_classes"
+        rendered = (" | ".join(" ".join(map(str, f)) for f in form)
+                    for form in trace.b_set(g, k, args.aperiodic_classes))
     else:
-        words = list(trace.enumerate_weight_words(g, k))
-    rendered = [" ".join(map(str, w)) for w in words]
-    _emit(args, {"words": rendered}, rendered)
-    return 0
+        key = "words"
+        words = trace.enumerate_weight_words(g, k) if args.ia is None \
+            else trace.b_tilde(g, k, args.ia)
+        rendered = (" ".join(map(str, w)) for w in words)
+    return 0, {key: rendered}, rendered
 
 
-def cmd_orientations(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_orientations(args, g: Graph, k: WeightVector | None) -> Output:
     from . import multiplicity
     count = multiplicity.acyclic_counts(g)[-1]
     payload: dict = {"count": count}
@@ -205,34 +198,33 @@ def cmd_orientations(args, g: Graph, k: WeightVector | None) -> int:
         payload["unique_sink"] = {"sink": args.sink, "count": n}
         lines.append(f"unique sink {args.sink}: {n}")
     if args.list:
-        listing = [" ".join(f"{t}>{h}" for t, h in o)
-                   for o in multiplicity.enumerate_acyclic_orientations(g)]
+        listing = (" ".join(f"{t}>{h}" for t, h in o)
+                   for o in multiplicity.enumerate_acyclic_orientations(g))
         payload["orientations"] = listing
-        lines.extend(listing)
-    _emit(args, payload, lines)
-    return 0
+        return 0, payload, (line for part in (lines, listing) for line in part)
+    return 0, payload, lines
 
 
-def cmd_hilbert(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_hilbert(args, g: Graph, k: WeightVector | None) -> Output:
     from . import hilbert
     table = hilbert.series_table(g, args.q, args.max_ht)
-    weights = sorted(table, key=lambda w: w.counts)
-    if args.json:
-        _emit(args, {"q": args.q, "entries": [
-            {"k": {str(v): c for v, c in w.counts}, "dim": table[w]}
-            for w in weights]}, ())
-    else:  # k as json.dumps(k, sort_keys=True) prints it, string keys sorted
-        keys = [(v, f'"{v}": ') for v in sorted(g.vertices, key=str)]
+    # k's keys as strings, in the order json.dumps(k, sort_keys=True) prints
+    keys = [(v, str(v)) for v in sorted(g.vertices, key=str)]
 
-        def line(w: WeightVector) -> str:
-            counts = dict(w.counts)
-            return "{" + ", ".join([key + str(counts[v]) for v, key in keys
-                                    if v in counts]) + f"}} -> {table[w]}"
-        _emit(args, {}, map(line, weights))
-    return 0
+    def entry(w: WeightVector) -> dict:
+        counts = dict(w.counts)
+        return {"k": {key: counts[v] for v, key in keys if v in counts},
+                "dim": table[w]}
+
+    def line(w: WeightVector) -> str:  # the text form of entry(w)
+        counts = dict(w.counts)
+        return "{" + ", ".join([f'"{key}": {counts[v]}' for v, key in keys
+                                if v in counts]) + f"}} -> {table[w]}"
+    weights = iter(sorted(table, key=lambda w: w.counts))
+    return 0, {"q": args.q, "entries": map(entry, weights)}, map(line, weights)
 
 
-def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> Output:
     from . import hilbert
     if args.triangle_free:
         ranks = hilbert.lcs_ranks_triangle_free(g, args.max_k)
@@ -240,26 +232,23 @@ def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> int:
         ranks = hilbert.lcs_ranks(g, args.max_k)
     entries = [{"k": i + 1, "N": _frac(n), "M": m}
                for i, (n, m) in enumerate(ranks)]
-    _emit(args, {"ranks": entries},
-          [f"k={e['k']} N={e['N']} M={e['M']}" for e in entries])
-    return 0
+    return 0, {"ranks": entries}, \
+        [f"k={e['k']} N={e['N']} M={e['M']}" for e in entries]
 
 
-def cmd_reciprocity(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_reciprocity(args, g: Graph, k: WeightVector | None) -> Output:
     from . import chromatic, hilbert
     pairs = hilbert.count_compatible_pairs(g, args.q)
     k = WeightVector.ones(g.vertices)
     signed = (-1) ** len(g.vertices) * chromatic.chromatic_poly(g, k).eval(-args.q)
     ok = pairs == signed
-    _emit(args, {"q": args.q, "compatible_pairs": pairs,
-                 "signed_chromatic": _frac(signed), "ok": ok},
-          [f"compatible pairs: {pairs}",
-           f"(-1)^n * chromatic(-q): {_frac(signed)}",
-           f"agreement: {ok}"])
-    return 0 if ok else 1
+    return int(not ok), {"q": args.q, "compatible_pairs": pairs,
+                         "signed_chromatic": _frac(signed), "ok": ok}, \
+        [f"compatible pairs: {pairs}",
+         f"(-1)^n * chromatic(-q): {_frac(signed)}", f"agreement: {ok}"]
 
 
-def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
+def cmd_verify(args, g: Graph, k: WeightVector | None) -> Output:
     from . import chromatic, hilbert, multiplicity, trace
     max_ht = args.max_ht
     if max_ht < 0:
@@ -339,9 +328,9 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> int:
                 for x in rows[flag][0] for detail in rows[flag][1](x)]
     lines = [json.dumps(f, sort_keys=True) for f in failures] or [
         f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})"]
-    _emit(args, {"weight_vectors": len(weights), "max_ht": max_ht,
-                 "failures": failures, "ok": not failures}, lines)
-    return 1 if failures else 0
+    return 1 if failures else 0, {"weight_vectors": len(weights),
+                                  "max_ht": max_ht, "failures": failures,
+                                  "ok": not failures}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +423,9 @@ def main(argv=None) -> int:
             g = load_graph(args.graph)
             k = parse_weight_spec(args.k, g) if "k" in args else None
             check_limits(args, g, k)
-            return args.func(args, g, k)
+            status, payload, lines = args.func(args, g, k)
+            _emit(args, payload, lines)
+            return status
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

@@ -308,21 +308,10 @@ def join_graph(g: Graph, k: WeightVector) -> tuple[Graph, dict[int, tuple[int, i
     k.check_support(g)
     if k.is_zero:
         raise GraphError("join graph needs nonempty support")
-    clone_map: dict[int, tuple[int, int]] = {}
-    next_id = 0
-    by_original: dict[int, list[int]] = {}
-    for v, c in k.counts:
-        by_original[v] = []
-        for r in range(1, c + 1):
-            clone_map[next_id] = (v, r)
-            by_original[v].append(next_id)
-            next_id += 1
-    edges = set()
-    for v, clones in by_original.items():
-        edges.update(combinations(clones, 2))
-    for u, v in combinations(by_original, 2):
-        if g.adjacent(u, v):
-            edges.update((a, b) for a in by_original[u] for b in by_original[v])
+    clone_map = dict(enumerate((v, r) for v, c in k.counts
+                               for r in range(1, c + 1)))
+    edges = [(a, b) for a, b in combinations(clone_map, 2)
+             if clone_map[b][0] in g.dependence[clone_map[a][0]]]
     kinds = {c: g.kind(orig) for c, (orig, _) in clone_map.items()}
     return new_graph(clone_map.keys(), kinds, edges), clone_map
 

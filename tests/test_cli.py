@@ -18,7 +18,7 @@ from chromalie.cli import CLOSED_PIPE, MAX_K, MAX_VALUE_DIGITS, main, \
     parse_weight_spec, UsageError
 from chromalie import QPolynomial, new_graph, weight_box, is_connected_sub
 
-from helpers import complete_graph, graph_to_json
+from helpers import complete_graph, cycle_graph, graph_to_json
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -167,6 +167,56 @@ def test_orientations_command(capsys, showcase_file):
     payload = json.loads(out)
     assert payload["count"] == 12
     assert payload["unique_sink"] == {"sink": 2, "count": 2}
+
+
+@pytest.mark.parametrize("g, sink", [(cycle_graph(4), []),
+                                     (SHOWCASE, ["--sink", "2"])],
+                         ids=["c4", "showcase"])
+def test_orientations_list(capsys, tmp_path, g, sink):
+    from chromalie.multiplicity import acyclic_counts
+    p = tmp_path / "g.json"
+    p.write_text(graph_to_json(g))
+    argv = ["orientations", "--graph", str(p), *sink, "--list"]
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    listing = text.splitlines()[2 if sink else 1:]  # after the header lines
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0 and json.loads(out)["orientations"] == listing
+    assert len(listing) == acyclic_counts(g)[-1]
+    for line in listing:
+        arcs = [tuple(map(int, arc.split(">"))) for arc in line.split()]
+        assert sorted(tuple(sorted(arc)) for arc in arcs) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["words", "--k", "1:1,2:2,3:1"], "words"),
+    (["words", "--k", "1:1,2:2,3:1", "--ia", "2"], "words"),
+    (["words", "--k", "1:2,2:2,3:1,4:1", "--aperiodic-classes", "1"],
+     "aperiodic_classes"),
+    (["basis", "--k", "1:2,2:2,3:1,4:1", "--sink", "1"], "basis"),
+    (["basis", "--k", "1:2,2:2,3:1,4:1", "--sink", "1", "--verify"], "basis"),
+    (["hilbert", "--q", "2", "--max-ht", "3"], "entries"),
+], ids=["words", "ia", "aperiodic-classes", "basis", "basis-verify",
+        "hilbert"])
+def test_text_lines_are_the_json_items(capsys, showcase_file, argv, field):
+    # Each listing is one iterator shared by the payload and the text lines;
+    # the mode that runs must be its only reader.
+    argv = argv[:1] + ["--graph", showcase_file] + argv[1:]
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    payload = json.loads(out)
+    items = payload[field]
+    assert items
+    if field == "entries":
+        items = [f"{json.dumps(e['k'], sort_keys=True)} -> {e['dim']}"
+                 for e in items]
+    if "verify" in payload:
+        v = payload["verify"]
+        items.append(f"multiplicity={v['multiplicity']} "
+                     f"count={v['lyndon_count']} rank={v['rank']} ok=True")
+    assert text.splitlines() == items
 
 
 def test_complete_graph_k10_counts(capsys, tmp_path):
@@ -329,7 +379,8 @@ class ClosedPipe(io.StringIO):
 @pytest.mark.parametrize("argv", [
     ["lcs-ranks", "--max-k", "12", "--json"],
     ["verify", "--max-ht", "1"],
-], ids=["lcs-ranks", "verify"])
+    ["words", "--k", "1:1,2:2,3:1"],
+], ids=["lcs-ranks", "verify", "words"])
 def test_closed_stdout_exits_quietly(capsys, monkeypatch, showcase_file,
                                      argv, on_write):
     monkeypatch.setattr(sys, "stdout", ClosedPipe(on_write))
@@ -340,20 +391,25 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, showcase_file,
 
 def test_closed_pipe_process(tmp_path):
     # a reader that stops after one line: no traceback, exit status 141,
-    # also through the flush at interpreter exit
-    graph = tmp_path / "c5.json"
-    graph.write_text(graph_to_json(new_graph(
-        range(1, 6), edges=[(v, v % 5 + 1) for v in range(1, 6)])))
+    # also through the flush at interpreter exit, and in the middle of a
+    # streamed listing (K4 at (3,3,2,2) has 25,200 words)
+    c5, k4 = tmp_path / "c5.json", tmp_path / "k4.json"
+    c5.write_text(graph_to_json(cycle_graph(5)))
+    k4.write_text(graph_to_json(complete_graph(4)))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chromalie.cli", "lcs-ranks", "--graph",
-         str(graph), "--max-k", "1000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"k=1 N=5 M=5\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == CLOSED_PIPE
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    for argv, first in [
+            (["lcs-ranks", "--graph", str(c5), "--max-k", "1000"],
+             b"k=1 N=5 M=5\n"),
+            (["words", "--graph", str(k4), "--k", "1:3,2:3,3:2,4:2"],
+             b"1 1 1 2 2 2 3 3 4 4\n")]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chromalie.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == CLOSED_PIPE
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def test_reciprocity_command(capsys, showcase_file):
