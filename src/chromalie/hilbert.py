@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chromatic import chromatic_poly
 from .graphs import Graph, GraphError, WeightVector, coded_box, complement, \
     is_triangle_free, weight_box
-from .multiplicity import acyclic_counts, moebius_invert
 
 
 def uq_dimension(g: Graph, k: WeightVector, q: int) -> int:
     """Dimension of the weight-k component of the q-fold tensor power of the
     enveloping algebra: (-1)^ht(k) * chromatic_poly(k) evaluated at -q."""
+    from .chromatic import chromatic_poly  # series_table needs no chromatic
     g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
@@ -50,6 +49,7 @@ def ordered_partition_identity_check(g: Graph, k: WeightVector, q: int) -> bool:
     """Brute-force check that chromatic_poly(k) at -q equals the sum over
     ordered q-part decompositions of products of values at -1 (empty parts
     contribute a factor 1)."""
+    from .chromatic import chromatic_poly
     g.check_imaginary()
     if q < 1:
         raise GraphError("q must be a positive integer")
@@ -70,6 +70,7 @@ def count_compatible_pairs(g: Graph, q: int) -> int:
     classes are forced downward, so the count is the q-fold subset
     convolution f_1 = a, f_{j+1}[S] = sum over T within S of f_j[T] * a[S - T]
     of the acyclic-orientation counts a, read at the full vertex set."""
+    from .multiplicity import acyclic_counts  # series_table needs neither
     if q < 1:
         raise GraphError("q must be a positive integer")
     a = acyclic_counts(g)
@@ -131,6 +132,7 @@ def lcs_ranks_triangle_free(g: Graph, max_k: int) -> list[tuple[Fraction, int]]:
 def _ranks(a: list[int]) -> list[tuple[Fraction, int]]:
     """Pairs (N_k, M_k) for k = 1..len(a) - 1 from a_k = k N_k (a[0] is not
     read), with M_k = sum over d | k of mu(d)/d * N_(k/d)."""
+    from .multiplicity import moebius_invert
     values = [Fraction(x, k) for k, x in enumerate(a) if k]
     return [(values[k - 1], moebius_invert(k, lambda d: values[k // d - 1]))
             for k in range(1, len(a))]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add
+from types import SimpleNamespace
 
-from .graphs import Graph, GraphError, Value, WeightVector, coded_box
+from .graphs import Graph, GraphError, WeightVector, coded_box
 from .multiplicity import _check_real_constraint, root_multiplicity
 from .trace import TraceWord, b_tilde, canonicalize, initial_alphabet
 
@@ -32,11 +33,11 @@ def is_lyndon(seq: LyndonSeq) -> bool:
 
 
 def standard_factorization(seq: LyndonSeq) -> tuple[LyndonSeq, LyndonSeq]:
-    """Split a Lyndon sequence as u*v with v the longest proper Lyndon suffix."""
+    """Split a Lyndon sequence as u*v with v the longest proper Lyndon suffix,
+    which is its least proper suffix (Chen, Fox & Lyndon 1958)."""
     if len(seq) < 2 or not is_lyndon(seq):
         raise GraphError("standard factorization needs a Lyndon word of length >= 2")
-    # The last letter alone is a Lyndon suffix, so a split always exists.
-    j = next(j for j in range(1, len(seq)) if is_lyndon(seq[j:]))
+    j = min(range(1, len(seq)), key=lambda j: seq[j:])
     u, v = seq[:j], seq[j:]
     if not (is_lyndon(u) and u < v):
         raise GraphError(f"standard factorization broke at position {j}")
@@ -177,69 +178,33 @@ def exact_rank(rows: list[dict]) -> int:
     return len(pivots)
 
 
-class BasisReport(Value):
-    """What verify_basis found; a record, read but never modified.  Its key
-    holds a list, so reports compare but do not hash."""
-
-    __slots__ = ("lyndon", "multiplicity", "lyndon_count", "counts_match",
-                 "rank", "rank_matches", "right_normed_checked",
-                 "right_normed_consistent")
-    _fields = __slots__
-
-    def __init__(self, lyndon: list[LyndonSeq], multiplicity: int,
-                 lyndon_count: int, counts_match: bool, rank: int,
-                 rank_matches: bool, right_normed_checked: bool,
-                 right_normed_consistent: bool):
-        self.lyndon = lyndon                  # c_i_set(g, k, i)
-        self.multiplicity = multiplicity
-        self.lyndon_count = lyndon_count
-        self.counts_match = counts_match
-        self.rank = rank
-        self.rank_matches = rank_matches
-        self.right_normed_checked = right_normed_checked  # only when k_i = 1
-        self.right_normed_consistent = right_normed_consistent
-
-
-def verify_basis(g: Graph, k: WeightVector, i: int) -> BasisReport:
+def verify_basis(g: Graph, k: WeightVector, i: int) -> SimpleNamespace:
     """Check that the expanded Lyndon bracketings form a basis of the graded
     component: cardinality equals the root multiplicity and the expansions
-    have full rank over the rationals."""
+    have full rank over the rationals.  When k_i = 1 each sequence is one
+    letter of b_tilde(g, k, i), bracketed as its right-normed Lie word, so
+    the same rows check right_normed_nonzero and that the nonzero words
+    are independent and as many as the multiplicity."""
     g.check_imaginary()
     lyndon = c_i_set(g, k, i)
     mult = root_multiplicity(g, k)
     key, _ = _projection_keys(k.support, g)
-    shared: dict[Key, Key] = {}
-
-    def row(tree) -> dict[Key, int]:  # one object per distinct key of a call
-        return {shared.setdefault(w, w): c
-                for w, c in _expand(tree, key).items()}
-
-    rank = exact_rank([row(bracket_tree(seq)) for seq in lyndon])
-
+    shared: dict[Key, Key] = {}  # one object per distinct key of a call
+    rows = [{shared.setdefault(w, w): c
+             for w, c in _expand(bracket_tree(seq), key).items()}
+            for seq in lyndon]
+    rank = exact_rank(rows)
     rn_checked = k.get(i) == 1
-    rn_consistent = True
-    if rn_checked:
-        nonzero_words = []
-        for w in b_tilde(g, k, i):
-            expr = row(w)
-            if bool(expr) != right_normed_nonzero(w, g):
-                rn_consistent = False
-            if expr:
-                nonzero_words.append(expr)
-        if exact_rank(nonzero_words) != len(nonzero_words) or \
-                len(nonzero_words) != mult:
-            rn_consistent = False
-
-    return BasisReport(
-        lyndon=lyndon,
-        multiplicity=mult,
-        lyndon_count=len(lyndon),
-        counts_match=len(lyndon) == mult,
-        rank=rank,
-        rank_matches=rank == mult,
-        right_normed_checked=rn_checked,
-        right_normed_consistent=rn_consistent,
-    )
+    rn_consistent = not rn_checked or (
+        all(bool(r) == right_normed_nonzero(seq[0], g)
+            for r, seq in zip(rows, lyndon))
+        and rank == sum(map(bool, rows)) == mult)
+    counts_match, rank_matches = len(lyndon) == mult, rank == mult
+    return SimpleNamespace(
+        lyndon=lyndon, multiplicity=mult, lyndon_count=len(lyndon),
+        counts_match=counts_match, rank=rank, rank_matches=rank_matches,
+        right_normed_checked=rn_checked, right_normed_consistent=rn_consistent,
+        ok=counts_match and rank_matches and rn_consistent)
 
 
 def render_bracket(tree) -> str:

@@ -436,6 +436,14 @@ def x_i_alphabet(g: Graph, k: WeightVector, i: int) -> list[tuple]:
                   if w.get(i) == 1 for word in b_tilde(g, w, i))
 
 
+def suffix_scan_factorization(seq: tuple) -> tuple[tuple, tuple]:
+    """Reference standard factorization of a Lyndon sequence of length >= 2:
+    v is the first proper suffix, scanning from the left, that is Lyndon,
+    so the longest one."""
+    j = next(j for j in range(1, len(seq)) if is_lyndon(seq[j:]))
+    return seq[:j], seq[j:]
+
+
 def letter_scan_c_i_set(g: Graph, k: WeightVector, i: int) -> list[tuple]:
     """Reference Lyndon sequences of weight k over the i-marked alphabet:
     every letter is tried at every node, on count tuples aligned to

@@ -16,7 +16,8 @@ import pytest
 from chromalie import hilbert
 from chromalie.cli import CLOSED_PIPE, MAX_K, MAX_VALUE_DIGITS, main, \
     parse_weight_spec, UsageError
-from chromalie import QPolynomial, new_graph, weight_box, is_connected_sub
+from chromalie import QPolynomial, WeightVector, new_graph, weight_box, \
+    is_connected_sub
 
 from helpers import complete_graph, cycle_graph, graph_to_json
 
@@ -94,6 +95,25 @@ def test_basis_command(capsys, showcase_file):
                                 "--verify"])
     assert code == 0
     assert "ok=True" in out
+
+
+def test_basis_verify_fails_on_right_normed_fault(capsys, monkeypatch,
+                                                 showcase_file):
+    # a wrong initial-alphabet classification fails only the right-normed
+    # check, and with it the report and the exit code
+    from chromalie import lyndon
+    monkeypatch.setattr(lyndon, "right_normed_nonzero", lambda w, g: False)
+    report = lyndon.verify_basis(
+        SHOWCASE, WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1}), 2)
+    assert report.counts_match and report.rank_matches
+    assert report.right_normed_checked
+    assert not report.right_normed_consistent and not report.ok
+    code, out, _ = run(capsys, ["basis", "--graph", showcase_file,
+                                "--k", "1:2,2:1,3:1,4:1", "--sink", "2",
+                                "--verify", "--json"])
+    assert code == 1
+    assert json.loads(out)["verify"] == {
+        "lyndon_count": 2, "multiplicity": 2, "ok": False, "rank": 2}
 
 
 def test_basis_refuses_overweight_real_vertex(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from chromalie.lyndon import exact_rank
 
 from helpers import canonical_expand, complete_graph, cycle_graph, \
     fraction_rank, letter_scan_c_i_set, path_graph, projection_key, \
-    random_graphs, x_i_alphabet
+    random_graphs, suffix_scan_factorization, x_i_alphabet
 
 SHOWCASE = new_graph([1, 2, 3, 4], edges=[(1, 2), (2, 3), (2, 4), (3, 4)])
 SHOWCASE_K = WeightVector.of({1: 2, 2: 1, 3: 1, 4: 1})
@@ -46,6 +47,21 @@ def test_standard_factorization():
         standard_factorization((a,))
     with pytest.raises(GraphError):
         standard_factorization((b, a))
+
+
+def test_standard_factorization_matches_suffix_scan():
+    # every Lyndon sequence of length 2-7 over letters that include proper
+    # prefixes of each other: the least proper suffix is the longest
+    # proper Lyndon suffix
+    letters = [(0,), (0, 1), (1,), (1, 0, 2)]
+    checked = 0
+    for n in range(2, 8):
+        for seq in product(letters, repeat=n):
+            if is_lyndon(seq):
+                assert standard_factorization(seq) == \
+                    suffix_scan_factorization(seq), seq
+                checked += 1
+    assert checked == 3300
 
 
 def test_bracket_tree_and_render():
@@ -279,3 +295,31 @@ def test_verify_basis_small_family():
                 assert report.counts_match, (g.edges, k, i)
                 assert report.rank_matches, (g.edges, k, i)
                 assert report.lyndon_count == root_multiplicity(g, k)
+
+
+def test_verify_basis_ranks_once_when_k_i_is_one(monkeypatch):
+    # With k_i = 1 each Lyndon sequence is one letter whose bracketing is its
+    # right-normed word, so the right-normed check reads the same rows: one
+    # rank over lyndon_count rows, one expansion per sequence.
+    rank, expand = lyndon.exact_rank, lyndon._expand
+    ranked, expanded = [], []
+
+    def rank_spy(rows):
+        ranked.append(len(rows))
+        return rank(rows)
+
+    def expand_spy(tree, key):
+        expanded.append(tree)
+        return expand(tree, key)
+
+    monkeypatch.setattr(lyndon, "exact_rank", rank_spy)
+    monkeypatch.setattr(lyndon, "_expand", expand_spy)
+    for g, counts in ((cycle_graph(4), {1: 1, 2: 2, 3: 1, 4: 1}),
+                      (complete_graph(4), {1: 1, 2: 2, 3: 2, 4: 2})):
+        ranked.clear()
+        expanded.clear()
+        report = verify_basis(g, WeightVector.of(counts), 1)
+        assert report.right_normed_checked and report.right_normed_consistent
+        assert report.ok and report.rank == report.lyndon_count > 0
+        assert ranked == [report.lyndon_count]
+        assert expanded == [seq[0] for seq in report.lyndon]

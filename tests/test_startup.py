@@ -57,7 +57,10 @@ def test_mult_loads_no_unused_layer(tmp_path):
     (["lcs-ranks", "--max-k", "3"], "hilbert", "trace"),
     (["reciprocity", "--q", "2"], "hilbert", "trace"),
     (["orientations", "--sink", "1"], "multiplicity", "chromatic"),
-], ids=["hilbert", "lcs-ranks", "reciprocity", "orientations"])
+    (["hilbert", "--q", "2", "--max-ht", "2"], "hilbert", "chromatic"),
+    (["hilbert", "--q", "2", "--max-ht", "2"], "hilbert", "multiplicity"),
+], ids=["hilbert", "lcs-ranks", "reciprocity", "orientations",
+        "hilbert-no-chromatic", "hilbert-no-multiplicity"])
 def test_command_loads_no_unused_layer(tmp_path, argv, ran, unused):
     graph = tmp_path / "c4.json"
     graph.write_text(json.dumps({
