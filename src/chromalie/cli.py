@@ -1,6 +1,6 @@
 """Command-line front end: graph ingestion, dispatch, and the cross-check
 verifier.  Exit codes: 0 ok, 1 verification failure, 2 usage error, 3
-precondition error, 141 (128 + SIGPIPE) when the reader closed stdout."""
+precondition error or out of memory, 141 (128 + SIGPIPE) on a closed stdout."""
 
 from __future__ import annotations
 
@@ -245,33 +245,32 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> Output:
     max_ht = args.max_ht
     if max_ht < 0:
         raise GraphError(f"height bound {max_ht} is negative")
-    weights = [w for w in weight_box(dict.fromkeys(g.vertices, max_ht), max_ht)
-               if not w.is_zero]
+    box = dict.fromkeys(g.vertices, max_ht)
 
     def chromatic_oracle(w: WeightVector):
         poly = chromatic.chromatic_poly(g, w)
         for q in range(w.height + 1):
             value = poly.eval(q)
-            oracle = chromatic.coloring_count_oracle(g, w, q)
-            if value != oracle:
+            if value != (oracle := chromatic.coloring_count_oracle(g, w, q)):
                 yield {"k": w.as_dict(), "q": q, "poly": str(value),
                        "oracle": oracle}
 
-    @lru_cache(maxsize=None)  # this call's mult and b-recursion rows
+    @lru_cache(maxsize=None)  # per call; the walk fills w / ell before w
     def aperiodic_count(w: WeightVector, i: int) -> int:
         return len(trace.b_set(g, w, i))
 
     def three_routes(w: WeightVector):
-        reference = multiplicity.root_multiplicity(g, w)
-        for i in w.support:
-            via_o = multiplicity.mult_via_orientations(g, w, i)
-            via_b = aperiodic_count(w, i)
-            if not (reference == via_o == via_b):
-                yield {"k": w.as_dict(), "sink": i, "moebius": reference,
-                       "orientations": via_o, "aperiodic_words": via_b}
+        if multiplicity.real_overweight(g, w) is None and \
+                is_connected_sub(g, w.support):
+            reference = multiplicity.root_multiplicity(g, w)
+            for i in w.support:
+                via_o = multiplicity.mult_via_orientations(g, w, i)
+                via_b = aperiodic_count(w, i)
+                if not (reference == via_o == via_b):
+                    yield {"k": w.as_dict(), "sink": i, "moebius": reference,
+                           "orientations": via_o, "aperiodic_words": via_b}
 
-    def bond_identity(max_ht: int):  # one table for the box
-        box = dict.fromkeys(g.vertices, max_ht)
+    def bond_identity():  # one table for the box
         for w, poly in multiplicity.bond_table(g, box, max_ht).items():
             if w.counts and poly != chromatic.chromatic_poly(g, w):
                 yield {"k": w.as_dict()}
@@ -286,43 +285,44 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> Output:
                        "recursion": rhs}
 
     def tensor_dimension(w: WeightVector):
-        if hilbert.uq_dimension(g, w, 1) != \
+        if g.all_imaginary and hilbert.uq_dimension(g, w, 1) != \
                 hilbert.trace_dimension_oracle(g, w):
             yield {"k": w.as_dict()}
 
-    def reciprocity(q: int):
-        signed = (-1) ** len(g.vertices) * chromatic.chromatic_poly(
-            g, WeightVector.ones(g.vertices)).eval(-q)
-        if hilbert.count_compatible_pairs(g, q) != signed:
-            yield {"q": q}
+    def reciprocity():
+        ones = chromatic.chromatic_poly(g, WeightVector.ones(g.vertices))
+        for q in (1, 2, 3):
+            if hilbert.count_compatible_pairs(g, q) != \
+                    (-1) ** len(g.vertices) * ones.eval(-q):
+                yield {"q": q}
 
-    def lucas_ranks(max_k: int):
-        if hilbert.lcs_ranks(g, max_k) != \
-                hilbert.lcs_ranks_triangle_free(g, max_k):
+    def lucas_ranks():
+        if max_ht >= 1 and g.all_imaginary and \
+                is_triangle_free(complement(g)) and \
+                hilbert.lcs_ranks(g, max_ht) != \
+                hilbert.lcs_ranks_triangle_free(g, max_ht):
             yield {}
 
-    imaginary = g.all_imaginary
-    # Rows by skip flag: inputs, failure details for one input.
-    rows = {
-        "chromatic": (weights, chromatic_oracle),
-        "mult": ((w for w in weights if multiplicity.real_overweight(g, w)
-                  is None and is_connected_sub(g, w.support)), three_routes),
-        "bond": ((max_ht,), bond_identity),
-        "brecursion": (weights, b_recursion),
-        "tensor": (weights if imaginary else (), tensor_dimension),
-        "reciprocity": ((1, 2, 3), reciprocity),
-        "lucas": ((max_ht,) if max_ht >= 1 and imaginary
-                  and is_triangle_free(complement(g)) else (), lucas_ranks),
-    }
-    failures = [{"check": name, **detail}
-                for flag, name in VERIFY_CHECKS.items()
-                if not getattr(args, f"skip_{flag}")
-                for x in rows[flag][0] for detail in rows[flag][1](x)]
-    lines = [json.dumps(f, sort_keys=True) for f in failures] or [
-        f"all checks passed ({len(weights)} weight vectors, height <= {max_ht})"]
-    return 1 if failures else 0, {"weight_vectors": len(weights),
-                                  "max_ht": max_ht, "failures": failures,
-                                  "ok": not failures}, lines
+    # Per-box rows first: bond's table is built before the walk's caches fill.
+    found = {f: [] for f in VERIFY_CHECKS if not getattr(args, f"skip_{f}")}
+    for flag, row in (("bond", bond_identity), ("reciprocity", reciprocity),
+                      ("lucas", lucas_ranks)):
+        if flag in found:
+            found[flag].extend(row())
+    per_weight = {"chromatic": chromatic_oracle, "mult": three_routes,
+                  "brecursion": b_recursion, "tensor": tensor_dimension}
+    count = 0
+    weights = (w for w in weight_box(box, max_ht) if not w.is_zero)
+    for count, w in enumerate(weights, 1):
+        for flag, row in per_weight.items():
+            if flag in found:
+                found[flag].extend(row(w))
+    failures = [{"check": VERIFY_CHECKS[flag], **detail}
+                for flag, records in found.items() for detail in records]
+    return int(bool(failures)), {"weight_vectors": count, "max_ht": max_ht,
+                                 "failures": failures, "ok": not failures}, \
+        [json.dumps(f, sort_keys=True) for f in failures] or [
+            f"all checks passed ({count} weight vectors, height <= {max_ht})"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
             return 2
         except GraphError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError:
+            print("error: out of memory (request too large)", file=sys.stderr)
             return 3
         finally:
             sys.stdout.flush()

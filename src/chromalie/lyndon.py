@@ -63,8 +63,9 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
     _check_real_constraint(g, k)
     box = [(w, code) for w, code, _, _ in coded_box(k.as_dict())[1]]
     codes = {code for _, code in box}
-    groups = {code: words for w, code in box
-              if w.get(i) == 1 and (words := b_tilde(g, w, i))}
+    groups = {code: words for w, code in box  # k_i letters, one i each
+              if w.get(i) == 1 and (k.get(i) > 1 or w == k)
+              and (words := b_tilde(g, w, i))}
     results = []
 
     def rec(residual: int, acc: list[TraceWord]):

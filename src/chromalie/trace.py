@@ -114,7 +114,7 @@ def _i_factors(w: Sequence[int], i: int, g: Graph) -> IForm:
     return tuple(tuple(part[::-1]) for part in factors)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # each caller reads one weight's words in one stretch
 def _search(g: Graph, k: WeightVector
             ) -> tuple[tuple[TraceWord, ...], dict[int, tuple[TraceWord, ...]]]:
     """All weight-k words as sorted canonical forms, and those whose initial
@@ -165,10 +165,11 @@ def _search(g: Graph, k: WeightVector
         rec(k.height, 0, 0, sum(residual))
     else:
         words.append(())
+    del rec  # break rec's cycle through its cell, so the lists free now
     return tuple(words), {i: tuple(ws) for i, ws in groups.items()}
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def enumerate_weight_words(g: Graph, k: WeightVector) -> tuple[TraceWord, ...]:
     """All trace-monoid elements of the given weight, as sorted canonical
     forms."""

@@ -510,6 +510,21 @@ def test_malformed_graph_file(capsys, tmp_path, data):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch, showcase_file):
+    # exit 1 means a failed check, so running out of memory gets its own line
+    from chromalie import trace
+
+    def exhausted(g, k, i):
+        raise MemoryError
+
+    monkeypatch.setattr(trace, "b_set", exhausted)
+    code, out, err = run(capsys, ["words", "--graph", showcase_file, "--k",
+                                  "1:2,2:1,3:1,4:1", "--aperiodic-classes", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_boolean_vertex_ids_rejected(capsys, tmp_path):
     for doc in ({"vertices": [{"id": True}]},
                 {"vertices": [{"id": 1}, {"id": 2}], "edges": [[True, 2]]}):

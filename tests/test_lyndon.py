@@ -284,6 +284,20 @@ def test_verify_basis_lists_no_full_weight_words(monkeypatch):
     assert seen and k not in seen
 
 
+def test_c_i_set_with_k_i_one_reads_only_k(monkeypatch):
+    # every letter holds one i, so with k_i = 1 the only letter weight is k
+    g, k = cycle_graph(4), WeightVector.of({1: 1, 2: 2, 3: 1, 4: 1})
+    seen = []
+
+    def spy(graph, w, i):
+        seen.append(w)
+        return b_tilde(graph, w, i)
+
+    monkeypatch.setattr(lyndon, "b_tilde", spy)
+    assert c_i_set(g, k, 1) == [(w,) for w in b_tilde(g, k, 1)]
+    assert seen == [k]
+
+
 def test_verify_basis_small_family():
     for g in (path_graph(3), cycle_graph(4), complete_graph(3)):
         for extra in g.vertices:

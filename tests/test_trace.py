@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -223,13 +224,8 @@ def test_verify_scans_each_word_once(monkeypatch, tmp_path, capsys):
     # the three-routes, b-recursion and tensor checks ask for b_tilde, b_set
     # and the word list of every weight, sink and divisor; each weight's
     # words are still searched once, and that search also groups them by
-    # initial letter, so no word's initial alphabet is scanned
-    g = cycle_graph(4)
-    path = tmp_path / "c4.json"
-    path.write_text(graph_to_json(g))
-    trace.enumerate_weight_words.cache_clear()
-    trace._search.cache_clear()
-    calls: Counter = Counter()
+    # initial letter, so no word's initial alphabet is scanned.  P10 at
+    # height 3 has 285 weights, more than a 256-entry cache would hold.
     search = trace._search
 
     def counted(graph, k):
@@ -241,8 +237,28 @@ def test_verify_scans_each_word_once(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(trace, "_search", counted)
     monkeypatch.setattr(trace, "initial_alphabet", unreached)
-    assert main(["verify", "--graph", str(path), "--max-ht", "5"]) == 0
-    weights = {k for k in weight_box(dict.fromkeys(g.vertices, 5), 5)
-               if not k.is_zero}
-    assert set(calls) == weights
-    assert search.cache_info().misses == len(weights)
+    for g, max_ht in ((cycle_graph(4), 5), (path_graph(10), 3)):
+        path = tmp_path / "g.json"
+        path.write_text(graph_to_json(g))
+        trace.enumerate_weight_words.cache_clear()
+        search.cache_clear()
+        calls: Counter = Counter()
+        assert main(["verify", "--graph", str(path),
+                     "--max-ht", str(max_ht)]) == 0
+        weights = {k for k in weight_box(dict.fromkeys(g.vertices, max_ht),
+                                         max_ht) if not k.is_zero}
+        assert set(calls) == weights
+        assert search.cache_info().misses == len(weights)
+
+
+def test_search_leaves_no_cycle():
+    # the search's recursive closure would hold itself through its cell, so
+    # its word lists would wait for a collection after the call returned
+    gc.collect()
+    gc.disable()
+    try:
+        trace._search.__wrapped__(cycle_graph(4),
+                                  WeightVector.of({1: 2, 2: 2, 3: 1, 4: 1}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
