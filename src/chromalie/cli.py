@@ -251,7 +251,8 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> Output:
         poly = chromatic.chromatic_poly(g, w)
         for q in range(w.height + 1):
             value = poly.eval(q)
-            if value != (oracle := chromatic.coloring_count_oracle(g, w, q)):
+            oracle = chromatic.coloring_count_oracle(g, w, q)
+            if value != oracle:
                 yield {"k": w.as_dict(), "q": q, "poly": str(value),
                        "oracle": oracle}
 
@@ -319,10 +320,11 @@ def cmd_verify(args, g: Graph, k: WeightVector | None) -> Output:
                 found[flag].extend(row(w))
     failures = [{"check": VERIFY_CHECKS[flag], **detail}
                 for flag, records in found.items() for detail in records]
-    return int(bool(failures)), {"weight_vectors": count, "max_ht": max_ht,
-                                 "failures": failures, "ok": not failures}, \
-        [json.dumps(f, sort_keys=True) for f in failures] or [
-            f"all checks passed ({count} weight vectors, height <= {max_ht})"]
+    lines = [json.dumps(f, sort_keys=True) for f in failures] or [
+        f"all checks passed ({count} weight vectors, height <= {max_ht})"]
+    return 1 if failures else 0, {"weight_vectors": count, "max_ht": max_ht,
+                                  "failures": failures,
+                                  "ok": not failures}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
