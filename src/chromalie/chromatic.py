@@ -134,4 +134,6 @@ def coloring_count_oracle(g: Graph, k: WeightVector, q: int) -> int:
             total += rec(idx + 1)
         return total
 
-    return rec(0)
+    total = rec(0)
+    del rec  # break rec's cycle through its cell, so `used` frees now
+    return total

@@ -1,6 +1,7 @@
 """Command-line front end: graph ingestion, dispatch, and the cross-check
-verifier.  Exit codes: 0 ok, 1 verification failure, 2 usage error, 3
-precondition error or out of memory, 141 (128 + SIGPIPE) on a closed stdout."""
+verifier.  `main` is the library entry, `run` the process entry.  Exit codes:
+0 ok, 1 verification failure, 2 usage error, 3 precondition error or out of
+memory, 141 (128 + SIGPIPE) on a closed stdout."""
 
 from __future__ import annotations
 
@@ -218,10 +219,8 @@ def cmd_hilbert(args, g: Graph, k: WeightVector | None) -> Output:
 
 def cmd_lcs_ranks(args, g: Graph, k: WeightVector | None) -> Output:
     from . import hilbert
-    if args.triangle_free:
-        ranks = hilbert.lcs_ranks_triangle_free(g, args.max_k)
-    else:
-        ranks = hilbert.lcs_ranks(g, args.max_k)
+    ranks = (hilbert.lcs_ranks_triangle_free if args.triangle_free
+             else hilbert.lcs_ranks)(g, args.max_k)
     entries = [{"k": i + 1, "N": str(n), "M": m}
                for i, (n, m) in enumerate(ranks)]
     return 0, {"ranks": entries}, \
@@ -431,15 +430,18 @@ def main(argv=None) -> int:
             return 3
         finally:
             sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at /dev/null, so that the flush
-        # at interpreter exit has nowhere to fail.
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (AttributeError, OSError, ValueError):  # stdout is no file
-            pass
+    except BrokenPipeError:  # the reader is gone
         return CLOSED_PIPE
 
 
+def run() -> None:
+    """`python -m chromalie.cli` and the `chromalie` script: main, then
+    os._exit, skipping the interpreter's teardown and atexit handlers (there
+    are none).  --help, usage errors and uncaught exceptions exit normally."""
+    status = main()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

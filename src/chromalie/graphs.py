@@ -122,8 +122,7 @@ class Graph(Value):
 
     def induced(self, s: Iterable[int]) -> "Graph":
         keep = set(s)
-        unknown = keep - set(self.vertices)
-        if unknown:
+        if unknown := keep - set(self.vertices):
             raise GraphError(f"unknown vertices {sorted(unknown)}")
         verts = tuple(v for v in self.vertices if v in keep)
         kinds = tuple(self.kind(v) for v in verts)
@@ -154,9 +153,8 @@ def new_graph(vertices: Iterable[int],
         if u not in vset or v not in vset:
             raise GraphError(f"edge ({u},{v}) references undeclared vertex")
         edge_set.add((min(u, v), max(u, v)))
-    vt = tuple(verts)
-    kt = tuple(kinds.get(v, IMAGINARY) for v in verts)
-    return Graph(vt, kt, frozenset(edge_set))
+    return Graph(tuple(verts), tuple(kinds.get(v, IMAGINARY) for v in verts),
+                 frozenset(edge_set))
 
 
 def complement(g: Graph) -> Graph:
@@ -173,9 +171,8 @@ def is_connected_sub(g: Graph, s: Iterable[int]) -> bool:
             raise GraphError(f"unknown vertex {v}")
     if not s:
         return False
-    start = next(iter(s))
-    seen = {start}
-    stack = [start]
+    stack = [next(iter(s))]
+    seen = set(stack)
     while stack:
         u = stack.pop()
         for w in g.neighbors(u):

@@ -73,8 +73,7 @@ def count_compatible_pairs(g: Graph, q: int) -> int:
     from .multiplicity import acyclic_counts  # series_table needs neither
     if q < 1:
         raise GraphError("q must be a positive integer")
-    a = acyclic_counts(g)
-    f = a
+    f = a = acyclic_counts(g)
     for _ in range(q - 2):
         f = [_convolve_at(f, a, s) for s in range(len(a))]
     return a[-1] if q == 1 else _convolve_at(f, a, len(a) - 1)

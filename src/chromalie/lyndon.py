@@ -27,9 +27,8 @@ Key = tuple[tuple[int, ...], ...]
 
 def is_lyndon(seq: LyndonSeq) -> bool:
     """Strictly smaller than every proper cyclic rotation."""
-    if not seq:
-        return False
-    return all(seq < seq[r:] + seq[:r] for r in range(1, len(seq)))
+    return bool(seq) and all(seq < seq[r:] + seq[:r]
+                             for r in range(1, len(seq)))
 
 
 def standard_factorization(seq: LyndonSeq) -> tuple[LyndonSeq, LyndonSeq]:
@@ -83,14 +82,14 @@ def c_i_set(g: Graph, k: WeightVector, i: int) -> list[LyndonSeq]:
                         acc.pop()
 
     rec(box[-1][1], [])  # the box ends at k itself
+    del rec  # break rec's cycle through its cell, so the groups free now
     return sorted(results)
 
 
 def right_normed_nonzero(letters, g: Graph) -> bool:
     """Whether the right-normed Lie word on these letters is nonzero: the
     initial alphabet must be a single occurrence of a single letter."""
-    ia = initial_alphabet(letters, g)
-    return sum(ia.values()) == 1
+    return sum(initial_alphabet(letters, g).values()) == 1
 
 
 def _projection_keys(letters, g: Graph

@@ -57,8 +57,7 @@ def real_overweight(g: Graph, k: WeightVector) -> int | None:
 
 
 def _check_real_constraint(g: Graph, k: WeightVector) -> None:
-    v = real_overweight(g, k)
-    if v is not None:
+    if (v := real_overweight(g, k)) is not None:
         raise GraphError(f"real vertex {v} carries weight {k.get(v)} > 1")
 
 
@@ -103,6 +102,7 @@ def bond_lattice(g: Graph, k: WeightVector) -> list[tuple[WeightVector, ...]]:
                 acc + (part,))
 
     rec(box[-1][1], candidates, ())  # the box ends at k itself
+    del rec  # break rec's cycle through its cell, so the candidates free now
     return results
 
 
@@ -176,6 +176,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[tuple[tuple[int, int], ...]
                 succ[tail].remove(head)
 
     rec(0, [])
+    del rec  # break rec's cycle through its cell, so succ frees now
     return out
 
 
@@ -234,7 +235,6 @@ def mult_via_orientations(g: Graph, k: WeightVector, i: int) -> int:
     _check_real_constraint(g, k)
     if not is_connected_sub(g, k.support):
         return 0
-
     return moebius_invert(k.gcd(), lambda ell: Fraction(
         _first_clone_counts(g, k.divide(ell))[i],
         prod(factorial(c // ell) for _, c in k.counts)))

@@ -40,9 +40,8 @@ class QPolynomial(Value):
         return not self.coeffs
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return self.coeffs[power] if 0 <= power < len(self.coeffs) \
+            else Fraction(0)
 
     @property
     def linear_coefficient(self) -> Fraction:

@@ -189,6 +189,8 @@ def b_set(g: Graph, k: WeightVector, i: int) -> list[IForm]:
     class, so the first word of a class in ascending order stands for it,
     and the class is aperiodic when its m rotations are distinct tuples.
     Each distinct factor is canonicalized once per call."""
+    if k.get(i) == 1:  # one factor, one rotation; b_tilde is canonical, sorted
+        return [(w,) for w in b_tilde(g, k, i)]
     reps = []
     seen: set[IForm] = set()
     canonical: dict[TraceWord, TraceWord] = {}

@@ -411,8 +411,8 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, showcase_file,
 
 def test_closed_pipe_process(tmp_path):
     # a reader that stops after one line: no traceback, exit status 141,
-    # also through the flush at interpreter exit, and in the middle of a
-    # streamed listing (K4 at (3,3,2,2) has 25,200 words)
+    # also when main's last flush finds the reader gone, and in the middle
+    # of a streamed listing (K4 at (3,3,2,2) has 25,200 words)
     c5, k4 = tmp_path / "c5.json", tmp_path / "k4.json"
     c5.write_text(graph_to_json(cycle_graph(5)))
     k4.write_text(graph_to_json(complete_graph(4)))
@@ -430,6 +430,60 @@ def test_closed_pipe_process(tmp_path):
         assert proc.wait(timeout=60) == CLOSED_PIPE
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+PROCESS_ENTRIES = {
+    "module": ["-m", "chromalie.cli"],
+    "run": ["-c", "from chromalie.cli import run; run()"],
+}
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+@pytest.mark.parametrize("entry", PROCESS_ENTRIES)
+def test_process_entries_match_main(capsys, monkeypatch, tmp_path,
+                                    showcase_file, entry):
+    # run ends the process with os._exit after main; what a process prints
+    # and its status are still those of main called in-process (COLUMNS
+    # fixes the width argparse wraps --help to on both sides)
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    prefix = [sys.executable, *PROCESS_ENTRIES[entry]]
+    graph = ["--graph", showcase_file]
+    for argv, status in [
+            (["mult", *graph, "--k", "1:2,2:1,3:1,4:1"], 0),
+            (["words", *graph, "--k", "1:2,2:1,3:1,4:1", "--json"], 0),
+            (["verify", *graph, "--max-ht", "2"], 0),
+            (["mult", *graph, "--k", "1:1,2:1", "--sink", "1"], 2),
+            (["chromatic", *graph, "--k", "9:1"], 2),
+            (["mult", *graph, "--k", "1:0"], 3),
+            (["verify", *graph, "--max-ht", "99"], 3),
+            (["--help"], 0),
+            (["mult", "--help"], 0),
+            (["mult", *graph], 2),
+            (["no-such-command"], 2)]:
+        expected = _in_process(capsys, argv)
+        assert expected[0] == status, argv
+        proc = subprocess.run([*prefix, *argv], env=env, capture_output=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+    k4 = tmp_path / "k4.json"
+    k4.write_text(graph_to_json(complete_graph(4)))
+    words = ["words", "--graph", str(k4), "--k", "1:3,2:3,3:2,4:2"]
+    proc = subprocess.Popen([*prefix, *words], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1 1 1 2 2 2 3 3 4 4\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == CLOSED_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_reciprocity_command(capsys, showcase_file):

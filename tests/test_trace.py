@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chromalie import (GraphError, WeightVector, b_set, b_tilde, canonicalize,
-                       enumerate_weight_words, i_form, initial_alphabet,
-                       is_connected_sub, new_graph, trace, weight_box)
+                       chromatic, enumerate_weight_words, i_form,
+                       initial_alphabet, is_connected_sub, lyndon,
+                       multiplicity, new_graph, trace, weight_box)
 from chromalie.cli import main
 
 from helpers import (backward_scan_words, complete_graph, cycle_graph,
@@ -211,6 +212,26 @@ def test_b_set_counts_match_multiplicity():
                 assert len(b_set(g, k, i)) == m
 
 
+def test_b_set_single_factor_matches_general_path():
+    # with k_i = 1, b_set returns b_tilde's words as one-factor i-forms; the
+    # general path (i-forms, rotation classes, first word of a class in
+    # ascending order, distinct rotations) gives the same list
+    for g in random_graphs(seed=27, count=12, max_n=5):
+        for k in weight_box(dict.fromkeys(g.vertices, 6), 6):
+            for i in k.support:
+                if k.get(i) != 1:
+                    continue
+                reps, seen = [], set()
+                for w in b_tilde(g, k, i):
+                    f = i_form(w, i, g)
+                    if f not in seen:
+                        rotations = {f[r:] + f[:r] for r in range(len(f))}
+                        seen |= rotations
+                        if len(rotations) == len(f):
+                            reps.append(f)
+                assert b_set(g, k, i) == sorted(reps), (g, k, i)
+
+
 def test_b_tilde_matches_filter_definition():
     for g in random_graphs(seed=8, count=40, max_n=5):
         for k in weight_box(dict.fromkeys(g.vertices, 3), 4):
@@ -262,3 +283,31 @@ def test_search_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _unreachable_after(call) -> int:
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+C4_WEIGHT = WeightVector.of({1: 2, 2: 2, 3: 2, 4: 1})
+
+
+@pytest.mark.parametrize("call, box_walks", [
+    (lambda: chromatic.coloring_count_oracle(cycle_graph(4), C4_WEIGHT, 3), 0),
+    (lambda: lyndon.c_i_set(cycle_graph(4), C4_WEIGHT, 4), 1),
+    (lambda: multiplicity.enumerate_acyclic_orientations(cycle_graph(4)), 0),
+    (lambda: multiplicity.bond_lattice(cycle_graph(4), C4_WEIGHT), 1),
+], ids=["coloring_count_oracle", "c_i_set", "enumerate_acyclic_orientations",
+        "bond_lattice"])
+def test_recursive_searches_leave_no_cycle(call, box_walks):
+    # as in the word search, each recursive closure would hold itself through
+    # its cell until a collection; the only cycle left is that of the box
+    # walk a search reads, whose generator needs its cell
+    box = _unreachable_after(lambda: list(weight_box(C4_WEIGHT.as_dict())))
+    assert _unreachable_after(call) == box_walks * box
